@@ -60,6 +60,7 @@
 //! server picks) comes from one stream consumed in event order.
 
 use crate::blcr::{BlcrModel, Device};
+use crate::controller::Schedule;
 use crate::event::FastQueue;
 use crate::metrics::{JobRecord, StreamStats};
 use crate::policy::{plan_task, Estimates, PolicyConfig};

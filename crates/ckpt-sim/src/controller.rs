@@ -5,48 +5,73 @@
 use ckpt_policy::adaptive::{AdaptiveCheckpointer, CheckpointDecision};
 use ckpt_policy::schedule::EquidistantSchedule;
 
+/// What the task executor asks of a checkpoint controller, in
+/// productive-progress positions. The fast-path executor
+/// ([`crate::task_sim`]) is generic over it, so each controller kind runs
+/// its own monomorphized copy of the one task loop; the cluster DES drives
+/// the [`Controller`] enum through the same calls.
+pub trait Schedule {
+    /// Absolute productive position of the next checkpoint, strictly after
+    /// the durable progress; `None` ⇒ run to completion.
+    fn next_checkpoint(&self) -> Option<f64>;
+
+    /// The checkpoint [`Self::next_checkpoint`] handed out completed:
+    /// durable progress is now its position `pos`.
+    fn on_checkpoint_complete(&mut self, pos: f64);
+
+    /// A failure rolled the task back to durable progress `pos`.
+    fn on_rollback(&mut self, pos: f64);
+
+    /// The task's full-task MNOF belief changed (priority flip). Fixed
+    /// controllers ignore it (the paper's "static algorithm"); adaptive
+    /// controllers re-solve (Algorithm 1). Returns whether a re-solve
+    /// happened.
+    fn on_mnof_change(&mut self, mnof_full: f64) -> bool;
+}
+
 /// A fixed equidistant schedule: positions `i·w` for `i = 1..=count`
 /// (Young, Daly, and the static Formula (3) variant all use this).
 ///
 /// Stored as `(segment length, count, cursor)` rather than a materialized
-/// position `Vec`: positions are recomputed on demand with the *same*
-/// float expression [`EquidistantSchedule::positions`] uses (`i·w`), so
-/// the values are bit-identical to the historical Vec-backed schedule
-/// while construction is allocation-free and the next-checkpoint lookup
-/// is O(1) instead of a per-milestone binary search — this sits in the
-/// innermost replay loop (one lookup per checkpoint interval).
+/// position `Vec`: positions are recomputed with the *same* float
+/// expression [`EquidistantSchedule::positions`] uses (`i·w`), so the
+/// values are bit-identical to the materialized schedule while
+/// construction is allocation-free. The cursor caches its position, so
+/// the innermost replay loop reads the next checkpoint and steps past a
+/// completed one with one multiply per checkpoint.
 #[derive(Debug, Clone)]
 pub struct FixedSchedule {
     /// Segment length `Te/x`.
     w: f64,
     /// Number of checkpoints (`x − 1`).
     count: u32,
-    /// Index of the first position strictly after `durable` (0-based:
-    /// position `i` is `(i+1)·w`). Maintained so `next_checkpoint` is a
-    /// plain read.
+    /// Index of the first position strictly after durable progress
+    /// (0-based: position `i` is `(i+1)·w`).
     next_idx: u32,
-    durable: f64,
+    /// Invariant: `next_pos == position(next_idx)`.
+    next_pos: f64,
 }
 
 impl FixedSchedule {
     /// Build from an equidistant schedule.
     pub fn new(schedule: &EquidistantSchedule) -> Self {
-        Self {
-            w: schedule.segment_len(),
-            count: schedule.checkpoint_count(),
-            next_idx: 0,
-            durable: 0.0,
-        }
+        Self::with_segments(schedule.segment_len(), schedule.checkpoint_count())
     }
 
     /// Build with no checkpoints at all.
     pub fn none() -> Self {
-        Self {
-            w: 0.0,
-            count: 0,
+        Self::with_segments(0.0, 0)
+    }
+
+    fn with_segments(w: f64, count: u32) -> Self {
+        let mut s = Self {
+            w,
+            count,
             next_idx: 0,
-            durable: 0.0,
-        }
+            next_pos: 0.0,
+        };
+        s.next_pos = s.position(0);
+        s
     }
 
     /// Position `i` (0-based): `(i+1)·w`, the exact expression
@@ -56,24 +81,76 @@ impl FixedSchedule {
         (i + 1) as f64 * self.w
     }
 
-    /// Re-point the cursor at the first position strictly after `p` —
-    /// the incremental equivalent of the historical
-    /// `partition_point(|&q| q <= p)` over the materialized positions,
-    /// valid for arbitrary `p` (backward moves rescan from 0; they only
-    /// occur on rollbacks past the cursor, which the executors never
-    /// produce, so the forward path is the hot one).
+    /// Forward step: move the cursor past every position `<= p`.
+    /// Precondition: `p` is not behind the cursor (`p >= position(next_idx
+    /// − 1)`), which holds for a checkpoint completing at the position
+    /// this schedule handed out.
     #[inline]
-    fn seek(&mut self, p: f64) {
-        if self.next_idx > 0 && self.position(self.next_idx - 1) > p {
-            self.next_idx = 0;
-        }
-        while self.next_idx < self.count && self.position(self.next_idx) <= p {
+    fn advance_past(&mut self, p: f64) {
+        while self.next_idx < self.count && self.next_pos <= p {
             self.next_idx += 1;
+            self.next_pos = self.position(self.next_idx);
         }
     }
 
-    fn next_after_durable(&self) -> Option<f64> {
-        (self.next_idx < self.count).then(|| self.position(self.next_idx))
+    /// Re-point the cursor at the first position strictly after an
+    /// arbitrary `p` — the incremental equivalent of
+    /// `partition_point(|&q| q <= p)` over the materialized positions. A
+    /// `p` behind the cursor rescans from 0.
+    fn seek(&mut self, p: f64) {
+        if self.next_idx > 0 && self.position(self.next_idx - 1) > p {
+            self.next_idx = 0;
+            self.next_pos = self.position(0);
+        }
+        self.advance_past(p);
+    }
+}
+
+impl Schedule for FixedSchedule {
+    #[inline]
+    fn next_checkpoint(&self) -> Option<f64> {
+        (self.next_idx < self.count).then_some(self.next_pos)
+    }
+
+    /// A checkpoint completing at the cursor's own position cannot trigger
+    /// [`FixedSchedule::seek`]'s reset, so the cursor only steps forward.
+    #[inline]
+    fn on_checkpoint_complete(&mut self, pos: f64) {
+        debug_assert!(
+            self.next_idx == 0 || self.position(self.next_idx - 1) <= pos,
+            "checkpoint at {pos} completed behind the cursor"
+        );
+        self.advance_past(pos);
+    }
+
+    fn on_rollback(&mut self, pos: f64) {
+        self.seek(pos);
+    }
+
+    fn on_mnof_change(&mut self, _mnof_full: f64) -> bool {
+        false
+    }
+}
+
+impl Schedule for AdaptiveCheckpointer {
+    #[inline]
+    fn next_checkpoint(&self) -> Option<f64> {
+        match self.decision() {
+            CheckpointDecision::RunUntil { at_progress } => Some(at_progress),
+            CheckpointDecision::RunToCompletion => None,
+        }
+    }
+
+    fn on_checkpoint_complete(&mut self, pos: f64) {
+        AdaptiveCheckpointer::on_checkpoint_complete(self, pos);
+    }
+
+    fn on_rollback(&mut self, pos: f64) {
+        AdaptiveCheckpointer::on_rollback(self, pos);
+    }
+
+    fn on_mnof_change(&mut self, mnof_full: f64) -> bool {
+        self.update_mnof(mnof_full)
     }
 }
 
@@ -86,52 +163,37 @@ pub enum Controller {
     Adaptive(AdaptiveCheckpointer),
 }
 
-impl Controller {
-    /// Absolute productive position of the next checkpoint, strictly after
-    /// the durable progress; `None` ⇒ run to completion.
-    pub fn next_checkpoint(&self) -> Option<f64> {
+impl Schedule for Controller {
+    fn next_checkpoint(&self) -> Option<f64> {
         match self {
-            Controller::Fixed(f) => f.next_after_durable(),
-            Controller::Adaptive(a) => match a.decision() {
-                CheckpointDecision::RunUntil { at_progress } => Some(at_progress),
-                CheckpointDecision::RunToCompletion => None,
-            },
+            Controller::Fixed(f) => f.next_checkpoint(),
+            Controller::Adaptive(a) => a.next_checkpoint(),
         }
     }
 
-    /// A checkpoint completed: durable progress is now `pos`.
-    pub fn on_checkpoint_complete(&mut self, pos: f64) {
+    fn on_checkpoint_complete(&mut self, pos: f64) {
         match self {
-            Controller::Fixed(f) => {
-                f.durable = pos;
-                f.seek(pos);
-            }
+            Controller::Fixed(f) => f.on_checkpoint_complete(pos),
             Controller::Adaptive(a) => a.on_checkpoint_complete(pos),
         }
     }
 
-    /// A failure rolled the task back to durable progress `pos`.
-    pub fn on_rollback(&mut self, pos: f64) {
+    fn on_rollback(&mut self, pos: f64) {
         match self {
-            Controller::Fixed(f) => {
-                f.durable = pos;
-                f.seek(pos);
-            }
+            Controller::Fixed(f) => f.on_rollback(pos),
             Controller::Adaptive(a) => a.on_rollback(pos),
         }
     }
 
-    /// The task's full-task MNOF belief changed (priority flip). Fixed
-    /// controllers ignore it (the paper's "static algorithm"); adaptive
-    /// controllers re-solve (Algorithm 1). Returns whether a re-solve
-    /// happened.
-    pub fn on_mnof_change(&mut self, mnof_full: f64) -> bool {
+    fn on_mnof_change(&mut self, mnof_full: f64) -> bool {
         match self {
-            Controller::Fixed(_) => false,
-            Controller::Adaptive(a) => a.update_mnof(mnof_full),
+            Controller::Fixed(f) => f.on_mnof_change(mnof_full),
+            Controller::Adaptive(a) => a.on_mnof_change(mnof_full),
         }
     }
+}
 
+impl Controller {
     /// Number of planned checkpoints remaining from the current durable
     /// position (diagnostic).
     pub fn planned_remaining(&self) -> Option<usize> {

@@ -410,6 +410,7 @@ pub fn plan_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::Schedule;
     use ckpt_trace::gen::generate;
     use ckpt_trace::spec::WorkloadSpec;
     use ckpt_trace::stats::trace_histories;

@@ -26,7 +26,7 @@
 //! [`TaskOutcome`] and are validated against each other by the
 //! `cluster_validation` experiment.
 
-use crate::controller::Controller;
+use crate::controller::{Controller, Schedule};
 use ckpt_stats::rng::Rng64;
 use ckpt_trace::failure::{sample_task_plan_into, FailureModelSpec};
 use ckpt_trace::spec::{FailureModel, FailurePlan};
@@ -97,15 +97,14 @@ impl TaskOutcome {
     }
 }
 
-/// A reusable kill-event queue: a plain `Vec` buffer behind a head
-/// cursor. The replay hot loop hands one of these out per worker so a
-/// whole-trace replay performs **zero** per-task queue allocations (the
-/// historical code built a fresh `VecDeque` per task); a warm buffer
-/// serves every task of a worker's job stream.
+/// A reusable kill-plan buffer: the busy-time kill positions of one task,
+/// in order, which the executor walks with a cursor of its own. The replay
+/// hot loop hands one of these out per worker so a whole-trace replay
+/// performs **zero** per-task queue allocations; a warm buffer serves
+/// every task of a worker's job stream.
 #[derive(Debug, Default, Clone)]
 pub struct KillQueue {
     buf: Vec<f64>,
-    head: usize,
 }
 
 impl KillQueue {
@@ -116,39 +115,19 @@ impl KillQueue {
 
     /// Wrap an owned position vector (no copy).
     pub fn from_vec(positions: Vec<f64>) -> Self {
-        Self {
-            buf: positions,
-            head: 0,
-        }
+        Self { buf: positions }
     }
 
     /// Replace the queue's contents with `kills`, reusing the buffer.
     pub fn load(&mut self, kills: &[f64]) {
         self.buf.clear();
         self.buf.extend_from_slice(kills);
-        self.head = 0;
     }
 
     /// The buffer the replay loads fresh samples into (cleared).
     pub fn reset_for_sampling(&mut self) -> &mut Vec<f64> {
         self.buf.clear();
-        self.head = 0;
         &mut self.buf
-    }
-
-    #[inline]
-    fn front(&self) -> Option<f64> {
-        self.buf.get(self.head).copied()
-    }
-
-    #[inline]
-    fn pop_front(&mut self) {
-        self.head += 1;
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 }
 
@@ -184,11 +163,30 @@ pub fn simulate_task_with_plan<R: Rng64 + ?Sized>(
 /// the allocation-free core behind [`simulate_task_with_plan`]. The queue
 /// arrives holding the task's kill plan and leaves in an unspecified
 /// state (its buffer stays warm for the caller's next task).
+///
+/// Matches on the controller once per task, so each kind runs its own
+/// monomorphized copy of the one task loop.
 pub fn simulate_task_queued<R: Rng64 + ?Sized>(
     spec: &TaskSimSpec,
     pending: &mut KillQueue,
     flip: Option<ExecFlip>,
     ctl: &mut Controller,
+    rng: &mut R,
+) -> TaskOutcome {
+    match ctl {
+        Controller::Fixed(f) => execute(spec, pending, flip, f, rng),
+        Controller::Adaptive(a) => execute(spec, pending, flip, a, rng),
+    }
+}
+
+/// The task loop, written once and monomorphized per [`Schedule`]. The
+/// kill cursor and the outcome accumulators live in locals rather than
+/// behind `pending` and an output struct, so they can stay in registers.
+fn execute<S: Schedule, R: Rng64 + ?Sized>(
+    spec: &TaskSimSpec,
+    pending: &mut KillQueue,
+    mut flip: Option<ExecFlip>,
+    sched: &mut S,
     rng: &mut R,
 ) -> TaskOutcome {
     assert!(spec.te > 0.0 && spec.te.is_finite(), "te must be positive");
@@ -197,11 +195,15 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
         "costs must be non-negative"
     );
 
-    let mut out = TaskOutcome {
-        productive: spec.te,
-        ..TaskOutcome::default()
-    };
-    let mut flip = flip;
+    let mut head = 0usize; // next kill in `pending.buf`
+    let mut wall = 0.0f64;
+    let mut failures = 0u32;
+    let mut checkpoints = 0u32;
+    let mut aborted_checkpoints = 0u32;
+    let mut rollback_loss = 0.0f64;
+    let mut checkpoint_time = 0.0f64;
+    let mut restart_time = 0.0f64;
+    let mut flipped = false;
     let mut busy = 0.0f64; // cumulative execution (run + checkpoint) time
     let mut durable = 0.0f64; // checkpointed progress
     let mut live = 0.0f64; // progress since start (≥ durable, volatile)
@@ -209,42 +211,47 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
     // Closure-free helper: busy time until the next kill.
     macro_rules! to_fail {
         () => {
-            pending.front().map(|f| f - busy).unwrap_or(f64::INFINITY)
+            pending
+                .buf
+                .get(head)
+                .map(|f| f - busy)
+                .unwrap_or(f64::INFINITY)
         };
     }
 
     loop {
-        // Next milestone in productive progress.
-        let next_ckpt = ctl.next_checkpoint().filter(|&p| p > live && p < spec.te);
-        let flip_at = flip
-            .map(|f| f.at_progress)
-            .filter(|&p| p > live && p < spec.te);
+        // Next milestone in productive progress: the nearest of the next
+        // checkpoint, the flip and the task end that lies ahead.
         let mut target = spec.te;
-        if let Some(p) = next_ckpt {
-            target = target.min(p);
+        if let Some(p) = sched.next_checkpoint() {
+            if p > live && p < target {
+                target = p;
+            }
         }
-        if let Some(p) = flip_at {
-            target = target.min(p);
+        if let Some(f) = flip {
+            if f.at_progress > live && f.at_progress < target {
+                target = f.at_progress;
+            }
         }
 
         let run_needed = target - live;
         let tf = to_fail!();
         if tf < run_needed {
             // Kill strikes mid-run.
-            pending.pop_front();
-            out.wall += tf + spec.restart_cost;
-            out.restart_time += spec.restart_cost;
+            head += 1;
+            wall += tf + spec.restart_cost;
+            restart_time += spec.restart_cost;
             busy += tf;
             live += tf;
-            out.failures += 1;
-            out.rollback_loss += live - durable;
+            failures += 1;
+            rollback_loss += live - durable;
             live = durable;
-            ctl.on_rollback(durable);
+            sched.on_rollback(durable);
             continue;
         }
 
         // Reach the milestone.
-        out.wall += run_needed;
+        wall += run_needed;
         busy += run_needed;
         live = target;
 
@@ -255,7 +262,8 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
                 // failure model as the rest of the trace. (Default model:
                 // sample_count + sample_positions in the legacy order —
                 // identical draws to the historical re-plan.)
-                pending.clear();
+                pending.buf.clear();
+                head = 0;
                 let remaining = spec.te - live;
                 if remaining > 0.0 {
                     sample_task_plan_into(
@@ -270,39 +278,50 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
                     }
                 }
                 if let Some(mnof) = f.new_mnof_full {
-                    ctl.on_mnof_change(mnof);
+                    sched.on_mnof_change(mnof);
                 }
-                out.flipped = true;
+                flipped = true;
                 flip = None;
                 continue;
             }
         }
 
         if live >= spec.te {
-            return out; // completed
+            // Completed.
+            return TaskOutcome {
+                wall,
+                productive: spec.te,
+                failures,
+                checkpoints,
+                aborted_checkpoints,
+                rollback_loss,
+                checkpoint_time,
+                restart_time,
+                flipped,
+            };
         }
 
         // The milestone is a checkpoint. The write takes `ckpt_cost` of busy
         // time; a kill inside it aborts the write.
         let tf = to_fail!();
         if tf < spec.ckpt_cost {
-            pending.pop_front();
-            out.wall += tf + spec.restart_cost;
-            out.restart_time += spec.restart_cost;
-            out.checkpoint_time += tf; // partial write
+            head += 1;
+            wall += tf + spec.restart_cost;
+            restart_time += spec.restart_cost;
+            checkpoint_time += tf; // partial write
             busy += tf;
-            out.failures += 1;
-            out.aborted_checkpoints += 1;
-            out.rollback_loss += live - durable;
+            failures += 1;
+            aborted_checkpoints += 1;
+            rollback_loss += live - durable;
             live = durable;
-            ctl.on_rollback(durable);
+            sched.on_rollback(durable);
         } else {
-            out.wall += spec.ckpt_cost;
-            out.checkpoint_time += spec.ckpt_cost;
+            wall += spec.ckpt_cost;
+            checkpoint_time += spec.ckpt_cost;
             busy += spec.ckpt_cost;
             durable = live;
-            out.checkpoints += 1;
-            ctl.on_checkpoint_complete(durable);
+            checkpoints += 1;
+            sched.on_checkpoint_complete(durable);
         }
     }
 }

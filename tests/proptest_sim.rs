@@ -6,7 +6,7 @@
 
 use cloud_ckpt::policy::adaptive::AdaptiveCheckpointer;
 use cloud_ckpt::policy::schedule::EquidistantSchedule;
-use cloud_ckpt::sim::controller::{Controller, FixedSchedule};
+use cloud_ckpt::sim::controller::{Controller, FixedSchedule, Schedule};
 use cloud_ckpt::sim::task_sim::{simulate_task_with_plan, ExecFlip, TaskOutcome, TaskSimSpec};
 use cloud_ckpt::stats::rng::Xoshiro256StarStar;
 use cloud_ckpt::trace::failure::FailureModelSpec;
