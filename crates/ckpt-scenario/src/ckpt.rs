@@ -152,9 +152,9 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
+    /// Offset just past the next `n` bytes, if the payload holds them.
+    fn end_of(&self, n: usize) -> Result<usize, String> {
+        self.at
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| {
@@ -163,10 +163,23 @@ impl<'a> Cursor<'a> {
                     self.at,
                     self.buf.len()
                 )
-            })?;
+            })
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let end = self.end_of(n)?;
         let out = &self.buf[self.at..end];
         self.at = end;
         Ok(out)
+    }
+
+    /// An item count, where each item takes at least `min_bytes`: a count
+    /// the rest of the payload cannot hold is rejected before anything is
+    /// allocated for it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        self.end_of(n.saturating_mul(min_bytes))?;
+        Ok(n)
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -196,14 +209,16 @@ pub fn decode_cell(index: usize, payload: &[u8]) -> Result<CellResult, String> {
         buf: payload,
         at: 0,
     };
-    let n_params = cur.u32()? as usize;
+    // A param is two length-prefixed strings; a metric is a name, a count
+    // and five floats.
+    let n_params = cur.count(4 + 4)?;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
         let k = cur.string()?;
         let v = cur.string()?;
         params.push((k, v));
     }
-    let n_metrics = cur.u32()? as usize;
+    let n_metrics = cur.count(4 + 8 + 5 * 8)?;
     let mut metrics = Vec::with_capacity(n_metrics);
     for _ in 0..n_metrics {
         let name = cur.string()?;
@@ -359,6 +374,14 @@ mod tests {
         padded.push(0);
         let err = decode_cell(0, &padded).unwrap_err();
         assert!(err.contains("trailing"), "{err}");
+        // Counts the payload cannot hold are named errors, not an
+        // out-of-memory abort.
+        let err = decode_cell(0, &u32::MAX.to_le_bytes()).unwrap_err();
+        assert!(err.contains("too short"), "{err}");
+        let mut no_params = 0u32.to_le_bytes().to_vec();
+        no_params.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_cell(0, &no_params).unwrap_err();
+        assert!(err.contains("too short"), "{err}");
     }
 
     #[test]

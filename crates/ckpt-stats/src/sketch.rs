@@ -64,10 +64,6 @@ struct LogBins {
 }
 
 impl LogBins {
-    fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-
     fn add(&mut self, idx: i64) {
         if self.bins.is_empty() {
             self.offset = idx;
@@ -117,8 +113,13 @@ impl LogBins {
 
     fn decode(bytes: &[u8], at: &mut usize) -> crate::Result<LogBins> {
         let offset = i64::from_le_bytes(take(bytes, at)?);
-        let len = u64::from_le_bytes(take(bytes, at)?) as usize;
-        let mut bins = Vec::with_capacity(len);
+        let len = u64::from_le_bytes(take(bytes, at)?);
+        // Each bin takes 8 bytes: a length the remaining input cannot hold
+        // is rejected before anything is allocated for it.
+        if len > ((bytes.len() - *at) / 8) as u64 {
+            return Err(StatsError::BadInput("sketch bytes truncated"));
+        }
+        let mut bins = Vec::with_capacity(len as usize);
         for _ in 0..len {
             bins.push(u64::from_le_bytes(take(bytes, at)?));
         }
@@ -330,7 +331,8 @@ impl QuantileSketch {
         if at != bytes.len() {
             return Err(StatsError::BadInput("trailing bytes after sketch"));
         }
-        if zero + neg.total() + pos.total() != count {
+        let total = (neg.bins.iter().chain(&pos.bins)).try_fold(zero, |sum, &c| sum.checked_add(c));
+        if total != Some(count) {
             return Err(StatsError::BadInput("sketch bucket counts disagree"));
         }
         Ok(QuantileSketch {
@@ -455,10 +457,43 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(QuantileSketch::from_bytes(&trailing).is_err());
-        let mut bad_count = bytes;
+        let mut bad_count = bytes.clone();
         bad_count[1] ^= 0xff;
         assert!(QuantileSketch::from_bytes(&bad_count).is_err());
         assert!(QuantileSketch::from_bytes(&[]).is_err());
+
+        // Bin lengths the input cannot hold are named errors, not a
+        // capacity-overflow panic or an 8 TiB allocation. The header is
+        // the version byte and four words; the negative store's bin
+        // length follows its offset.
+        for len in [u64::MAX, 1 << 40] {
+            let mut huge = bytes.clone();
+            huge[41..49].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(
+                QuantileSketch::from_bytes(&huge),
+                Err(StatsError::BadInput("sketch bytes truncated"))
+            );
+        }
+        // Bin counts whose sum overflows are rejected, not wrapped.
+        let mut overflow = vec![CODEC_VERSION];
+        for word in [
+            1u64,
+            0,
+            1f64.to_bits(),
+            1f64.to_bits(),
+            0,
+            2,
+            u64::MAX,
+            2,
+            0,
+            0,
+        ] {
+            overflow.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(
+            QuantileSketch::from_bytes(&overflow),
+            Err(StatsError::BadInput("sketch bucket counts disagree"))
+        );
     }
 
     #[test]
