@@ -3,7 +3,7 @@
 
 use ckpt_policy::schedule::EquidistantSchedule;
 use ckpt_sim::controller::{Controller, FixedSchedule};
-use ckpt_sim::event::EventQueue;
+use ckpt_sim::event::FastQueue;
 use ckpt_sim::storage::{OpId, PsResource};
 use ckpt_sim::task_sim::{simulate_task, TaskSimSpec};
 use ckpt_sim::time::SimTime;
@@ -23,31 +23,15 @@ fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     g.bench_function("schedule_pop_10k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
+            let mut q = FastQueue::new();
             for i in 0..10_000u64 {
                 q.schedule(SimTime((i * 7919) % 100_000), i);
             }
             let mut acc = 0u64;
-            while let Some((_, _, p)) = q.pop() {
+            while let Some((_, p)) = q.pop() {
                 acc = acc.wrapping_add(p);
             }
             acc
-        })
-    });
-    g.bench_function("schedule_cancel_half_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..10_000u64)
-                .map(|i| q.schedule(SimTime(i % 997), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            n
         })
     });
     g.finish();

@@ -1,150 +1,17 @@
-//! The discrete-event queues: binary heaps ordered on `(time, sequence)`.
+//! The discrete-event queue: a binary heap ordered on `(time, sequence)`.
 //!
 //! Sequence numbers break time ties in insertion order, which — combined
 //! with integer [`SimTime`] — makes event processing deterministic.
 //!
-//! Two implementations share that ordering contract:
-//!
-//! * [`EventQueue`] — the general queue with O(1) lazy cancellation
-//!   (dead events are skipped at pop time), for callers that need to
-//!   retract scheduled events.
-//! * [`FastQueue`] — the hot-path queue behind the cluster engine: an
-//!   indexed Vec-backed binary heap whose entries carry one packed
-//!   `(time, seq)` `u128` key, with no liveness bookkeeping at all.
-//!   Engines built on it (see [`crate::cluster`]) invalidate superseded
-//!   events with epoch/generation counters checked at dispatch instead of
-//!   cancelling them, so the pop path is a single sift with inline
-//!   payloads — no side-table lookups, no allocation growth proportional
-//!   to events ever scheduled.
+//! [`FastQueue`] is an indexed Vec-backed binary heap whose entries carry
+//! one packed `(time, seq)` `u128` key, with no liveness bookkeeping at
+//! all. Engines built on it (see [`crate::cluster`]) invalidate superseded
+//! events with epoch/generation counters checked at dispatch instead of
+//! cancelling them, so the pop path is a single sift with inline payloads
+//! — no side-table lookups, no allocation growth proportional to events
+//! ever scheduled.
 
 use crate::time::SimTime;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A deterministic future-event list.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    next_seq: u64,
-    // Dense liveness flags indexed by sequence number: cancellation is a
-    // store; pop skips dead entries. Memory is proportional to the number of
-    // events ever scheduled, reclaimed when the queue drains.
-    alive: Vec<bool>,
-    live_count: usize,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            alive: Vec::new(),
-            live_count: 0,
-        }
-    }
-
-    /// Schedule `payload` at `time`; returns an id usable with [`cancel`].
-    ///
-    /// [`cancel`]: EventQueue::cancel
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.alive.push(true);
-        self.live_count += 1;
-        self.heap.push(Reverse(Entry { time, seq, payload }));
-        EventId(seq)
-    }
-
-    /// Cancel a scheduled event. Returns `true` if the event was still
-    /// pending (and is now dead), `false` if it had already fired or been
-    /// cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.alive.get_mut(id.0 as usize) {
-            Some(flag) if *flag => {
-                *flag = false;
-                self.live_count -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Pop the earliest live event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            let idx = entry.seq as usize;
-            if self.alive[idx] {
-                self.alive[idx] = false;
-                self.live_count -= 1;
-                if self.live_count == 0 {
-                    // Everything pending is gone; reclaim bookkeeping.
-                    self.heap.clear();
-                }
-                return Some((entry.time, EventId(entry.seq), entry.payload));
-            }
-        }
-        None
-    }
-
-    /// Earliest live event time without popping.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop dead entries off the top so peek is accurate.
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.alive[entry.seq as usize] {
-                return Some(entry.time);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Number of live (pending, uncancelled) events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.live_count
-    }
-
-    /// Whether no live events remain.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.live_count == 0
-    }
-}
 
 /// The hot-path future-event list: a Vec-backed binary heap whose entries
 /// are ordered by one packed `(time, seq)` `u128` key.
@@ -152,9 +19,7 @@ impl<E> EventQueue<E> {
 /// Invariants:
 ///
 /// * **Stable tie-breaking** — events scheduled earlier pop first among
-///   equal times (`seq` is a monotone insertion counter), exactly like
-///   [`EventQueue`]; replacing one with the other never changes the order
-///   of surviving events.
+///   equal times (`seq` is a monotone insertion counter).
 /// * **No cancellation** — superseded events must be ignored by the
 ///   consumer (epoch/generation checks at dispatch). In exchange, pop is
 ///   one sift over a dense `Vec` with the payload inline, and memory is
@@ -271,76 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(3.0), "c");
-        q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
-        q.schedule(t(1.0), 1);
-        q.schedule(t(1.0), 2);
-        q.schedule(t(1.0), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(2.0), "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a)); // double cancel is a no-op
-        assert_eq!(q.len(), 1);
-        let (_, _, p) = q.pop().unwrap();
-        assert_eq!(p, "b");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_after_fire_returns_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), ());
-        let (_, id, _) = q.pop().unwrap();
-        assert_eq!(id, a);
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn peek_time_skips_dead() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1.0), "a");
-        q.schedule(t(5.0), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5.0)));
-    }
-
-    #[test]
-    fn empty_queue_behaviour() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(t(10.0), 10);
-        q.schedule(t(1.0), 1);
-        assert_eq!(q.pop().unwrap().2, 1);
-        q.schedule(t(5.0), 5);
-        assert_eq!(q.pop().unwrap().2, 5);
-        assert_eq!(q.pop().unwrap().2, 10);
-    }
-
-    #[test]
     fn fast_queue_pops_in_time_order_with_stable_ties() {
         let mut q = FastQueue::new();
         q.schedule(t(3.0), "c");
@@ -365,46 +160,33 @@ mod tests {
     }
 
     #[test]
-    fn fast_queue_matches_event_queue_order() {
-        // The two implementations must agree on the full pop sequence,
-        // including tie-breaks, for any interleaving of schedules and pops.
+    fn fast_queue_matches_a_stable_sort_reference() {
+        // The queue must pop exactly what a linear scan for the earliest
+        // `(time, insertion order)` pending entry picks, including
+        // tie-breaks, for any interleaving of schedules and pops.
         let mut fast = FastQueue::new();
-        let mut slow = EventQueue::new();
+        let mut reference: Vec<(SimTime, u64)> = Vec::new();
+        let pop_reference = |pending: &mut Vec<(SimTime, u64)>| {
+            let i = (0..pending.len()).min_by_key(|&i| pending[i])?;
+            Some(pending.swap_remove(i))
+        };
         let mut mix: u64 = 0x9E3779B97F4A7C15;
         for i in 0..5_000u64 {
             mix = mix.wrapping_mul(6364136223846793005).wrapping_add(1);
             let time = SimTime(mix % 997);
             fast.schedule(time, i);
-            slow.schedule(time, i);
+            reference.push((time, i));
             if mix.is_multiple_of(3) {
-                assert_eq!(fast.pop(), slow.pop().map(|(t, _, p)| (t, p)));
+                assert_eq!(fast.pop(), pop_reference(&mut reference));
             }
         }
         loop {
             let f = fast.pop();
-            let s = slow.pop().map(|(t, _, p)| (t, p));
-            assert_eq!(f, s);
+            assert_eq!(f, pop_reference(&mut reference));
             if f.is_none() {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn many_events_stress() {
-        let mut q = EventQueue::new();
-        for i in 0..10_000u64 {
-            // Pseudo-shuffled times.
-            let tt = (i * 7919) % 10_007;
-            q.schedule(SimTime(tt), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((time, _, _)) = q.pop() {
-            assert!(time >= last);
-            last = time;
-            count += 1;
-        }
-        assert_eq!(count, 10_000);
+        assert!(fast.is_empty() && fast.peek_time().is_none());
     }
 }
