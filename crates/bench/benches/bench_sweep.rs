@@ -192,10 +192,7 @@ fn des_measure_sharded(jobs: usize, shards: usize, threads: usize) -> (u64, f64)
 }
 
 /// DES throughput on the stress-fleet workload, recorded in
-/// `BENCH_des.json` next to the measured pre-rewrite baseline (same
-/// workload, same machine class, captured before the TaskStore/FastQueue
-/// engine landed). The acceptance bar for the rewrite was ≥ 5× events/sec
-/// over that baseline. A `sharded` leg runs the same workload through
+/// `BENCH_des.json`. A `sharded` leg runs the same workload through
 /// [`ShardedClusterSim`] (host-group shards over conservative time
 /// windows) and records its wall, rate, and shard counters alongside the
 /// thread count it ran with.
@@ -215,9 +212,9 @@ fn bench_des_throughput(c: &mut Criterion) {
 
     // ...and the recorded measurement runs the full stress-bench size once.
     // `BENCH_des.json` is only (re)written when CKPT_DES_BENCH_RECORD=1 —
-    // the checked-in file is a point-in-time record against the pre-rewrite
-    // baseline on one machine class, and a casual `cargo bench` on another
-    // machine must not silently clobber it. Without the flag, a smaller
+    // the checked-in file is a point-in-time record on one machine, and a
+    // casual `cargo bench` on another machine must not silently clobber
+    // it. Without the flag, a smaller
     // instance is measured and printed for orientation only.
     let record = std::env::var("CKPT_DES_BENCH_RECORD").is_ok_and(|v| v == "1");
     let jobs: usize = std::env::var("CKPT_DES_BENCH_JOBS")
@@ -266,19 +263,13 @@ fn bench_des_throughput(c: &mut Criterion) {
     let shard_windows = sharded_counters.get(Counter::ShardWindows);
     let shard_merges = sharded_counters.get(Counter::ShardMerges);
 
-    // Pre-rewrite engine on this exact workload (jobs=30000, tasks=128619):
-    // 11_420_570 events in 30.49 s end-to-end.
-    let (base_events, base_wall) = (11_420_570u64, 30.49f64);
-    let base_rate = base_events as f64 / base_wall;
     let json = format!(
-        "{{\n  \"bench\": \"des_throughput\",\n  \"workload\": {{\n    \"spec_shape\": \"specs/stress_fleet.toml\",\n    \"jobs\": {jobs},\n    \"tasks\": {tasks},\n    \"seed\": 20130217\n  }},\n  \"engine\": {{\n    \"events\": {events},\n    \"wall_s\": {wall:.3},\n    \"events_per_sec\": {events_per_sec:.0}\n  }},\n  \"counters\": {{\n    \"events_popped\": {},\n    \"task_kills\": {},\n    \"host_failures\": {},\n    \"checkpoints_written\": {},\n    \"heap_peak\": {}\n  }},\n  \"sharded\": {{\n    \"shards\": {shards},\n    \"threads\": {shard_threads},\n    \"events\": {sharded_events},\n    \"wall_s\": {sharded_wall:.3},\n    \"events_per_sec\": {sharded_rate:.0},\n    \"speedup_wall_vs_unsharded\": {sharded_speedup:.2},\n    \"shard_windows\": {shard_windows},\n    \"shard_merges\": {shard_merges},\n    \"note\": \"host fleet split into contiguous shard groups advancing through conservative time windows; results depend on the shard count, never the thread count. The >= 4x wall target applies at shards = threads = cores; this record was captured with threads = {shard_threads}.\"\n  }},\n  \"baseline_pre_rewrite\": {{\n    \"events\": {base_events},\n    \"wall_s\": {base_wall:.3},\n    \"events_per_sec\": {base_rate:.0},\n    \"note\": \"engine before the TaskStore/FastQueue rewrite, same workload and machine class\"\n  }},\n  \"speedup_events_per_sec\": {:.2},\n  \"speedup_wall\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"des_throughput\",\n  \"workload\": {{\n    \"spec_shape\": \"specs/stress_fleet.toml\",\n    \"jobs\": {jobs},\n    \"tasks\": {tasks},\n    \"seed\": 20130217\n  }},\n  \"engine\": {{\n    \"events\": {events},\n    \"wall_s\": {wall:.3},\n    \"events_per_sec\": {events_per_sec:.0}\n  }},\n  \"counters\": {{\n    \"events_popped\": {},\n    \"task_kills\": {},\n    \"host_failures\": {},\n    \"checkpoints_written\": {},\n    \"heap_peak\": {}\n  }},\n  \"sharded\": {{\n    \"shards\": {shards},\n    \"threads\": {shard_threads},\n    \"events\": {sharded_events},\n    \"wall_s\": {sharded_wall:.3},\n    \"events_per_sec\": {sharded_rate:.0},\n    \"speedup_wall_vs_unsharded\": {sharded_speedup:.2},\n    \"shard_windows\": {shard_windows},\n    \"shard_merges\": {shard_merges},\n    \"note\": \"host fleet split into contiguous shard groups advancing through conservative time windows; results depend on the shard count, never the thread count. The >= 4x wall target applies at shards = threads = cores; this record was captured with threads = {shard_threads}.\"\n  }}\n}}\n",
         counters.get(Counter::EventsPopped),
         counters.get(Counter::TaskKills),
         counters.get(Counter::HostFailures),
         counters.get(Counter::CheckpointsWritten),
         counters.get(Counter::HeapPeak),
-        events_per_sec / base_rate,
-        base_wall / wall,
     );
     if record {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
@@ -286,8 +277,7 @@ fn bench_des_throughput(c: &mut Criterion) {
     }
     println!(
         "des_throughput: {jobs} jobs / {tasks} tasks -> {events} events in {wall:.3}s \
-         ({events_per_sec:.0} ev/s; recorded 30k-job baseline ratio only applies at \
-         the recorded size); sharded x{shards} on {shard_threads} thread(s): \
+         ({events_per_sec:.0} ev/s); sharded x{shards} on {shard_threads} thread(s): \
          {sharded_wall:.3}s ({sharded_rate:.0} ev/s, {sharded_speedup:.2}x wall){}",
         if record {
             " — BENCH_des.json updated"
@@ -364,11 +354,8 @@ fn bench_failure_samplers(c: &mut Criterion) {
 const ACCEPTANCE_GRID: &str = include_str!("../../../specs/policy_x_ckpt_cost.toml");
 
 /// Fast-path sweep throughput on the `policy_x_ckpt_cost` grid (24 cells,
-/// 800 jobs, one shared trace), recorded in `BENCH_sweep.json` next to
-/// the measured pre-rewrite baseline (same grid, same machine class,
-/// captured before the plan-arena/allocation-free-replay rewrite landed).
-/// The acceptance bar for the rewrite was ≥ 4× cells/sec over that
-/// baseline. A second record times the `ext_hazard_robustness` experiment
+/// 800 jobs, one shared trace), recorded in `BENCH_sweep.json`. A second
+/// record times the `ext_hazard_robustness` experiment
 /// end to end (registry run at its default scale), the sweep-backed
 /// experiment the ISSUE named as the secondary workload. A third leg runs
 /// the same grid with `--checkpoint-dir` persistence on, so the store's
@@ -398,9 +385,8 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     // Recorded measurement: best-of-5 wall for the whole grid, plus the
     // hazard-robustness experiment end to end. `BENCH_sweep.json` is only
     // (re)written when CKPT_SWEEP_BENCH_RECORD=1 — the checked-in file is
-    // a point-in-time record against the pre-rewrite baseline on one
-    // machine class, and a casual `cargo bench` on another machine must
-    // not silently clobber it.
+    // a point-in-time record on one machine, and a casual `cargo bench` on
+    // another machine must not silently clobber it.
     let record = std::env::var("CKPT_SWEEP_BENCH_RECORD").is_ok_and(|v| v == "1");
     // One unmeasured warmup run first: the opening iteration pays one-off
     // costs (directory creation for the checkpoint store, cold allocator
@@ -531,34 +517,26 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         hazard.run(&ctx).expect("hazard experiment runs");
     });
 
-    // Pre-rewrite fast path on this exact grid and machine class:
-    // 24 cells in 0.5651 s (42.5 cells/s); ext_hazard_robustness in
-    // 0.488 s end to end.
-    let (base_wall, base_hazard_wall) = (0.5651f64, 0.488f64);
-    let base_rate = cells as f64 / base_wall;
     let json = format!(
-        "{{\n  \"bench\": \"sweep_throughput\",\n  \"grid\": {{\n    \"spec\": \"specs/policy_x_ckpt_cost.toml\",\n    \"cells\": {cells},\n    \"jobs\": {grid_jobs},\n    \"seed\": {grid_seed}\n  }},\n  \"engine\": {{\n    \"wall_s\": {sweep_wall:.4},\n    \"cells_per_sec\": {cells_per_sec:.1}\n  }},\n  \"checkpointed\": {{\n    \"wall_s\": {ckpt_wall:.4},\n    \"cells_per_sec\": {ckpt_cells_per_sec:.1},\n    \"overhead_pct\": {ckpt_overhead_pct:.2},\n    \"note\": \"same grid with --checkpoint-dir persistence on (store recreated per run); bar is <= 5% cells/sec regression\"\n  }},\n  \"fault_layer\": {{\n    \"wall_s\": {fault_wall:.4},\n    \"cells_per_sec\": {fault_cells_per_sec:.1},\n    \"overhead_pct\": {fault_overhead_pct:.2},\n    \"note\": \"same checkpointed grid through run_sweep_guarded with a parsed-but-never-firing --inject plan armed (catch_unwind + fault lookups on every cell); bar is <= 5% cells/sec regression vs the checkpointed leg\"\n  }},\n  \"streaming\": {{\n    \"wall_s\": {stream_wall:.4},\n    \"cells_per_sec\": {stream_cells_per_sec:.1},\n    \"full_mode_wall_s\": {full_all_wall:.4},\n    \"overhead_pct\": {stream_overhead_pct:.2},\n    \"note\": \"same grid at metrics=streaming vs its full-mode twin, both at sample=all; sketch-backed p50/p99, bar is <= 5% cells/sec regression\"\n  }},\n  \"counters\": {{\n    \"cells_evaluated\": {},\n    \"jobs_replayed\": {},\n    \"tasks_replayed\": {},\n    \"checkpoints_written\": {},\n    \"plan_lookups\": {},\n    \"arena_hits\": {}\n  }},\n  \"baseline_pre_rewrite\": {{\n    \"wall_s\": {base_wall:.4},\n    \"cells_per_sec\": {base_rate:.1},\n    \"note\": \"fast path before the plan-arena/allocation-free-replay rewrite, same grid and machine class\"\n  }},\n  \"speedup_cells_per_sec\": {:.2},\n  \"ext_hazard_robustness\": {{\n    \"wall_s\": {hazard_wall:.4},\n    \"baseline_wall_s\": {base_hazard_wall:.4},\n    \"speedup_wall\": {:.2}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sweep_throughput\",\n  \"grid\": {{\n    \"spec\": \"specs/policy_x_ckpt_cost.toml\",\n    \"cells\": {cells},\n    \"jobs\": {grid_jobs},\n    \"seed\": {grid_seed}\n  }},\n  \"engine\": {{\n    \"wall_s\": {sweep_wall:.4},\n    \"cells_per_sec\": {cells_per_sec:.1}\n  }},\n  \"checkpointed\": {{\n    \"wall_s\": {ckpt_wall:.4},\n    \"cells_per_sec\": {ckpt_cells_per_sec:.1},\n    \"overhead_pct\": {ckpt_overhead_pct:.2},\n    \"note\": \"same grid with --checkpoint-dir persistence on (store recreated per run); bar is <= 5% cells/sec regression\"\n  }},\n  \"fault_layer\": {{\n    \"wall_s\": {fault_wall:.4},\n    \"cells_per_sec\": {fault_cells_per_sec:.1},\n    \"overhead_pct\": {fault_overhead_pct:.2},\n    \"note\": \"same checkpointed grid through run_sweep_guarded with a parsed-but-never-firing --inject plan armed (catch_unwind + fault lookups on every cell); bar is <= 5% cells/sec regression vs the checkpointed leg\"\n  }},\n  \"streaming\": {{\n    \"wall_s\": {stream_wall:.4},\n    \"cells_per_sec\": {stream_cells_per_sec:.1},\n    \"full_mode_wall_s\": {full_all_wall:.4},\n    \"overhead_pct\": {stream_overhead_pct:.2},\n    \"note\": \"same grid at metrics=streaming vs its full-mode twin, both at sample=all; sketch-backed p50/p99, bar is <= 5% cells/sec regression\"\n  }},\n  \"counters\": {{\n    \"cells_evaluated\": {},\n    \"jobs_replayed\": {},\n    \"tasks_replayed\": {},\n    \"checkpoints_written\": {},\n    \"plan_lookups\": {},\n    \"arena_hits\": {}\n  }},\n  \"ext_hazard_robustness\": {{\n    \"wall_s\": {hazard_wall:.4}\n  }}\n}}\n",
         counters.get(Counter::CellsEvaluated),
         counters.get(Counter::JobsReplayed),
         counters.get(Counter::TasksReplayed),
         counters.get(Counter::CheckpointsWritten),
         counters.get(Counter::PlanLookups),
         counters.get(Counter::ArenaHits),
-        cells_per_sec / base_rate,
-        base_hazard_wall / hazard_wall,
     );
     if record {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
         std::fs::write(path, &json).expect("write BENCH_sweep.json");
     }
     println!(
-        "sweep_throughput: {cells} cells in {sweep_wall:.4}s ({cells_per_sec:.1} cells/s; \
-         {:.2}x the recorded pre-rewrite baseline); checkpointed {ckpt_wall:.4}s \
+        "sweep_throughput: {cells} cells in {sweep_wall:.4}s ({cells_per_sec:.1} cells/s); \
+         checkpointed {ckpt_wall:.4}s \
          ({ckpt_overhead_pct:+.2}% overhead); fault layer {fault_wall:.4}s \
          ({fault_overhead_pct:+.2}% vs checkpointed); streaming {stream_wall:.4}s \
          ({stream_overhead_pct:+.2}% vs full at sample=all); \
          ext_hazard_robustness {hazard_wall:.4}s{}",
-        cells_per_sec / base_rate,
         if record {
             " — BENCH_sweep.json updated"
         } else {
