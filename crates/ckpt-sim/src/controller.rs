@@ -64,14 +64,12 @@ impl FixedSchedule {
     }
 
     fn with_segments(w: f64, count: u32) -> Self {
-        let mut s = Self {
+        Self {
             w,
             count,
             next_idx: 0,
-            next_pos: 0.0,
-        };
-        s.next_pos = s.position(0);
-        s
+            next_pos: w, // position(0) = 1·w, exactly w
+        }
     }
 
     /// Position `i` (0-based): `(i+1)·w`, the exact expression
@@ -112,10 +110,10 @@ impl Schedule for FixedSchedule {
         (self.next_idx < self.count).then_some(self.next_pos)
     }
 
-    /// A checkpoint completing at the cursor's own position cannot trigger
-    /// [`FixedSchedule::seek`]'s reset, so the cursor only steps forward.
     #[inline]
     fn on_checkpoint_complete(&mut self, pos: f64) {
+        // A checkpoint completing at the cursor's own position cannot
+        // trigger `seek`'s reset, so the cursor only steps forward.
         debug_assert!(
             self.next_idx == 0 || self.position(self.next_idx - 1) <= pos,
             "checkpoint at {pos} completed behind the cursor"
