@@ -331,7 +331,11 @@ impl QuantileSketch {
         if at != bytes.len() {
             return Err(StatsError::BadInput("trailing bytes after sketch"));
         }
-        let total = (neg.bins.iter().chain(&pos.bins)).try_fold(zero, |sum, &c| sum.checked_add(c));
+        let total = neg
+            .bins
+            .iter()
+            .chain(&pos.bins)
+            .try_fold(zero, |sum, &c| sum.checked_add(c));
         if total != Some(count) {
             return Err(StatsError::BadInput("sketch bucket counts disagree"));
         }
@@ -474,7 +478,9 @@ mod tests {
                 Err(StatsError::BadInput("sketch bytes truncated"))
             );
         }
-        // Bin counts whose sum overflows are rejected, not wrapped.
+        // Bin counts whose sum overflows are rejected, not wrapped: count
+        // 1, zero 0, min = max = 1.0, a negative store at offset 0 with
+        // bins [u64::MAX, 2], and an empty positive store.
         let mut overflow = vec![CODEC_VERSION];
         for word in [
             1u64,
