@@ -173,8 +173,8 @@ fn des_measure(jobs: usize) -> (u64, usize, f64) {
 }
 
 /// One timed end-to-end sharded run of the same workload: the host fleet
-/// split into `shards` groups advancing in parallel on `threads` workers
-/// through conservative time windows. Returns `(events, wall seconds)`.
+/// split into `shards` groups, each run to completion on one of `threads`
+/// workers, then folded once. Returns `(events, wall seconds)`.
 fn des_measure_sharded(jobs: usize, shards: usize, threads: usize) -> (u64, f64) {
     let (trace, estimates, cfg) = des_bench_setup(jobs);
     let tasks = trace.task_count();
@@ -193,8 +193,8 @@ fn des_measure_sharded(jobs: usize, shards: usize, threads: usize) -> (u64, f64)
 
 /// DES throughput on the stress-fleet workload, recorded in
 /// `BENCH_des.json`. A `sharded` leg runs the same workload through
-/// [`ShardedClusterSim`] (host-group shards over conservative time
-/// windows) and records its wall, rate, and shard counters alongside the
+/// [`ShardedClusterSim`] (host-group shards run to completion, folded
+/// once) and records its wall, rate, and shard counters alongside the
 /// thread count it ran with.
 fn bench_des_throughput(c: &mut Criterion) {
     if !bench_enabled("des_throughput") {
@@ -227,7 +227,7 @@ fn bench_des_throughput(c: &mut Criterion) {
     // workload: deterministic, so they describe exactly the run measured
     // above without a counting observer in the timed path.
     let (trace, estimates, cfg) = des_bench_setup(jobs);
-    let (_, _, counters) = ClusterSim::new(cfg, &trace, &estimates, PolicyConfig::formula3())
+    let (_, counters) = ClusterSim::new(cfg, &trace, &estimates, PolicyConfig::formula3())
         .with_observer(Counters::new())
         .run_observed(SimBudget::UNLIMITED, |_| {});
     assert_eq!(counters.get(Counter::EventsPopped), events);
@@ -236,8 +236,8 @@ fn bench_des_throughput(c: &mut Criterion) {
         .expect("counter identities");
 
     // Sharded leg: the same workload with the host fleet partitioned into
-    // contiguous host-group shards advancing in parallel through
-    // conservative time windows. The design target is >= 4x wall over the
+    // contiguous host-group shards, each run to completion in parallel and
+    // folded once in shard order. The design target is >= 4x wall over the
     // single-engine run at shards = threads = cores; the record keeps the
     // thread count alongside the numbers so a capture on a small machine
     // reads as what it is.
@@ -254,7 +254,7 @@ fn bench_des_throughput(c: &mut Criterion) {
     let (sharded_result, sharded_counters) =
         ShardedClusterSim::new(cfg, &trace, &estimates, PolicyConfig::formula3(), shards)
             .with_threads(shard_threads)
-            .run_observed::<Counters>(|_| {})
+            .run_observed::<Counters>(None)
             .expect("observed sharded run");
     assert_eq!(sharded_result.events, sharded_events);
     sharded_counters
@@ -264,7 +264,7 @@ fn bench_des_throughput(c: &mut Criterion) {
     let shard_merges = sharded_counters.get(Counter::ShardMerges);
 
     let json = format!(
-        "{{\n  \"bench\": \"des_throughput\",\n  \"workload\": {{\n    \"spec_shape\": \"specs/stress_fleet.toml\",\n    \"jobs\": {jobs},\n    \"tasks\": {tasks},\n    \"seed\": 20130217\n  }},\n  \"engine\": {{\n    \"events\": {events},\n    \"wall_s\": {wall:.3},\n    \"events_per_sec\": {events_per_sec:.0}\n  }},\n  \"counters\": {{\n    \"events_popped\": {},\n    \"task_kills\": {},\n    \"host_failures\": {},\n    \"checkpoints_written\": {},\n    \"heap_peak\": {}\n  }},\n  \"sharded\": {{\n    \"shards\": {shards},\n    \"threads\": {shard_threads},\n    \"events\": {sharded_events},\n    \"wall_s\": {sharded_wall:.3},\n    \"events_per_sec\": {sharded_rate:.0},\n    \"speedup_wall_vs_unsharded\": {sharded_speedup:.2},\n    \"shard_windows\": {shard_windows},\n    \"shard_merges\": {shard_merges},\n    \"note\": \"host fleet split into contiguous shard groups advancing through conservative time windows; results depend on the shard count, never the thread count. The >= 4x wall target applies at shards = threads = cores; this record was captured with threads = {shard_threads}.\"\n  }}\n}}\n",
+        "{{\n  \"bench\": \"des_throughput\",\n  \"workload\": {{\n    \"spec_shape\": \"specs/stress_fleet.toml\",\n    \"jobs\": {jobs},\n    \"tasks\": {tasks},\n    \"seed\": 20130217\n  }},\n  \"engine\": {{\n    \"events\": {events},\n    \"wall_s\": {wall:.3},\n    \"events_per_sec\": {events_per_sec:.0}\n  }},\n  \"counters\": {{\n    \"events_popped\": {},\n    \"task_kills\": {},\n    \"host_failures\": {},\n    \"checkpoints_written\": {},\n    \"heap_peak\": {}\n  }},\n  \"sharded\": {{\n    \"shards\": {shards},\n    \"threads\": {shard_threads},\n    \"events\": {sharded_events},\n    \"wall_s\": {sharded_wall:.3},\n    \"events_per_sec\": {sharded_rate:.0},\n    \"speedup_wall_vs_unsharded\": {sharded_speedup:.2},\n    \"shard_windows\": {shard_windows},\n    \"shard_merges\": {shard_merges},\n    \"note\": \"host fleet split into contiguous shard groups, each run to completion and folded once in shard order; results depend on the shard count, never the thread count. The >= 4x wall target applies at shards = threads = cores; this record was captured with threads = {shard_threads}.\"\n  }}\n}}\n",
         counters.get(Counter::EventsPopped),
         counters.get(Counter::TaskKills),
         counters.get(Counter::HostFailures),

@@ -91,11 +91,11 @@ pub enum Counter {
     CellsResumed,
     /// Cell records appended to a checkpoint store.
     CkptRecordsWritten,
-    /// Conservative time windows completed by a sharded cluster run
-    /// (one per barrier, regardless of shard count).
+    /// Result folds of sharded cluster runs: one per run with more than
+    /// one shard, none for a one-shard run.
     ShardWindows,
-    /// Per-shard metric folds performed at window barriers
-    /// (`shards − 1` per window: shard 0 is the fold seed).
+    /// Per-shard merges performed by those folds (`shards − 1` per fold:
+    /// shard 0 is the fold seed).
     ShardMerges,
     /// Peak length of the DES future-event heap (max-merged).
     HeapPeak,
@@ -210,9 +210,8 @@ pub trait Observer: Default + Send {
     fn get(&self, c: Counter) -> u64;
 
     /// Fold another cell of the same observer type in (sum / max per
-    /// counter kind). The sharded cluster runner drains per-shard cells
-    /// through this at every window barrier, in shard order; a no-op for
-    /// [`NoObs`].
+    /// counter kind). The sharded cluster runner folds its per-shard
+    /// cells through this once, in shard order; a no-op for [`NoObs`].
     fn merge_from(&mut self, other: &Self);
 }
 
@@ -346,11 +345,11 @@ impl Counters {
     /// count and total cluster event count (for runs that executed
     /// exactly one sharded cluster simulation):
     ///
-    /// * `shard_merges == shard_windows × (shards − 1)` — every window
-    ///   barrier folds every non-seed shard exactly once;
+    /// * `shard_merges == shard_windows × (shards − 1)` — every fold
+    ///   merges every non-seed shard exactly once;
     /// * `events_popped == cluster_events` — the per-shard
     ///   `events_popped` cells sum (commutatively) to the cluster total;
-    /// * an unsharded run (`shards <= 1`) records no windows or merges.
+    /// * an unsharded run (`shards <= 1`) records no folds or merges.
     ///
     /// Returns a message naming the violated identity.
     pub fn verify_shard_invariants(&self, shards: u64, cluster_events: u64) -> Result<(), String> {
@@ -833,7 +832,7 @@ mod tests {
 
     #[test]
     fn shard_invariants_detect_violations() {
-        // A 4-shard run over 3 windows: 3 × (4 − 1) = 9 merges.
+        // Three 4-shard runs, one fold each: 3 × (4 − 1) = 9 merges.
         let mut ok = Counters::new();
         ok.incr(Counter::ShardWindows, 3);
         ok.incr(Counter::ShardMerges, 9);
@@ -848,7 +847,7 @@ mod tests {
         let err = bad.verify_shard_invariants(4, 1000).unwrap_err();
         assert!(err.contains("shard_merges"), "{err}");
 
-        // Unsharded runs must record no window machinery at all.
+        // Unsharded runs must record no folds at all.
         let plain = Counters::new();
         assert!(plain.verify_shard_invariants(1, 42).is_ok());
         let err = ok.verify_shard_invariants(1, 1000).unwrap_err();

@@ -22,7 +22,7 @@ use crate::sweep::{SweepError, SweepSpec};
 use ckpt_faults::{io_kind_name, is_transient_kind, CellFault, FaultState, RunHealth, WriteFault};
 use ckpt_obs::{Counter, Counters, Phase, Telemetry};
 use ckpt_sim::blcr::{BlcrModel, Device};
-use ckpt_sim::cluster::{ClusterSim, SimBudget};
+use ckpt_sim::cluster::MetricsMode;
 use ckpt_sim::metrics::{JobRecord, StreamDist};
 use ckpt_sim::policy::Estimates;
 use ckpt_sim::runner::{
@@ -278,11 +278,6 @@ fn prepare(spec: &ScenarioSpec) -> Result<PrepData, String> {
     })
 }
 
-/// How often a telemetry-observed cluster replay samples [`SimProgress`]
-/// for the heartbeat sink. Purely a reporting cadence: the simulation's
-/// outputs are identical for any value.
-const CLUSTER_PROGRESS_EVERY: u64 = 65_536;
-
 fn replay(
     spec: &ScenarioSpec,
     prep: Arc<PrepData>,
@@ -360,90 +355,29 @@ fn replay(
             // kills come from the trace, which already carries it).
             let mut cluster_cfg = spec.cluster;
             cluster_cfg.failure_model = spec.failure_spec()?;
-            // Streaming metrics: sweep aggregation never reads the raw
-            // checkpoint-duration sample, so stress-scale cells keep
-            // constant per-event memory. (Cell outputs are unaffected —
-            // the simulation itself is identical in both modes.)
-            // Task kill plans come from the prep slot's shared arena —
-            // one sampling pass per (trace, failure model), reused by
-            // every policy/cost cell, byte-identical to fresh sampling.
-            let result = if spec.shards > 1 {
-                // Sharded path: the host fleet splits into contiguous
-                // groups, one engine per shard on the work-stealing
-                // substrate, metric/counter folds at window barriers in
-                // shard order — results depend on `shards`, never on
-                // `threads`. `shards = 1` must stay byte-identical to the
-                // historical engine, so it takes the branch below.
-                let sim = ShardedClusterSim::new(
-                    cluster_cfg,
-                    &prep.trace,
-                    &prep.estimates,
-                    cfg,
-                    spec.shards,
-                )
-                .with_plans(&prep.plans)
-                .with_threads(threads)
-                .with_metrics(ckpt_sim::cluster::MetricsMode::Streaming);
-                match telemetry {
-                    Some(t) => {
-                        let mut last_events = 0u64;
-                        let (result, obs) = sim
-                            .run_observed::<Counters>(|p| {
-                                if let Some(progress) = &t.progress {
-                                    progress.add_events(p.events - last_events);
-                                    last_events = p.events;
-                                    progress.beat();
-                                }
-                            })
-                            .map_err(|e| format!("key \"shards\": {e}"))?;
-                        obs.verify_shard_invariants(spec.shards as u64, result.events)
-                            .map_err(|e| format!("sharded run accounting violated: {e}"))?;
-                        t.counters.absorb(&obs);
-                        result
-                    }
-                    None => sim.run().map_err(|e| format!("key \"shards\": {e}"))?,
+            // One engine per host-group shard on the work-stealing
+            // substrate, folded once in shard order: results depend on
+            // `shards`, never on `threads`, and `shards = 1` is the
+            // historical single engine. Streaming metrics: sweep
+            // aggregation never reads the raw checkpoint-duration sample,
+            // so stress-scale cells keep constant per-event memory (cell
+            // outputs are unaffected). Task kill plans come from the prep
+            // slot's shared arena — one sampling pass per (trace, failure
+            // model), reused by every policy/cost cell.
+            let sim =
+                ShardedClusterSim::new(cluster_cfg, &prep.trace, &prep.estimates, cfg, spec.shards)
+                    .with_plans(&prep.plans)
+                    .with_threads(threads)
+                    .with_metrics(MetricsMode::Streaming);
+            let result = match telemetry {
+                Some(t) => {
+                    let (result, obs) = sim.run_observed::<Counters>(t.progress.as_ref())?;
+                    obs.verify_shard_invariants(spec.shards as u64, result.events)
+                        .map_err(|e| format!("sharded run accounting violated: {e}"))?;
+                    t.counters.absorb(&obs);
+                    result
                 }
-            } else {
-                let sim = ClusterSim::with_plans(
-                    cluster_cfg,
-                    &prep.trace,
-                    &prep.estimates,
-                    cfg,
-                    &prep.plans,
-                )
-                .with_metrics(ckpt_sim::cluster::MetricsMode::Streaming);
-                match telemetry {
-                    Some(t) => {
-                        // Observed run: a Counters cell rides the DES (same
-                        // event stream, bit-identical results) and SimProgress
-                        // snapshots feed the heartbeat sink while long stress
-                        // cells run.
-                        let budget = SimBudget {
-                            progress_every: if t.progress.is_some() {
-                                CLUSTER_PROGRESS_EVERY
-                            } else {
-                                0
-                            },
-                            ..SimBudget::UNLIMITED
-                        };
-                        let mut last_events = 0u64;
-                        let (result, _status, obs) = sim
-                            .with_observer(Counters::new())
-                            .run_observed(budget, |p| {
-                                if let Some(progress) = &t.progress {
-                                    progress.add_events(p.events - last_events);
-                                    last_events = p.events;
-                                    progress.beat();
-                                }
-                            });
-                        if let Some(progress) = &t.progress {
-                            progress.add_events(result.events - last_events);
-                        }
-                        t.counters.absorb(&obs);
-                        result
-                    }
-                    None => sim.run(),
-                }
+                None => sim.run()?,
             };
             if spec.metrics == MetricsChoice::Streaming {
                 validate_streaming(spec)?;

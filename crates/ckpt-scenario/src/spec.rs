@@ -173,9 +173,9 @@ pub struct ScenarioSpec {
 
     /// Cluster engine topology/storage parameters.
     pub cluster: ClusterConfig,
-    /// Cluster engine host-group shards: 1 (the default) takes the exact
-    /// legacy single-engine path; `S > 1` partitions the host fleet into
-    /// `S` contiguous groups and runs one engine per shard in parallel
+    /// Cluster engine host-group shards: 1 (the default) is the single
+    /// engine; `S > 1` partitions the host fleet into `S` contiguous
+    /// groups and runs one engine per shard in parallel
     /// (`ckpt_sim::shard`). Must not exceed `n_hosts` — validated at
     /// execution time, when both final values are known.
     pub shards: usize,
@@ -357,6 +357,12 @@ impl ScenarioSpec {
                 ))
             }
         };
+        let at_least_one = |v: &Value| -> Result<u64, String> {
+            match count(v)? {
+                0 => Err(format!("key {key:?}: must be >= 1, got 0")),
+                n => Ok(n),
+            }
+        };
         match key {
             "engine" => self.engine = EngineKind::from_str(text_of(key, value)?)?,
             "seed" => self.seed = count(value)?,
@@ -500,25 +506,21 @@ impl ScenarioSpec {
             "mem_median_mb" => self.workload.mem_median_mb = Some(num(value)?),
             "flips" => self.workload.flips = boolean(value)?,
 
-            "n_hosts" => self.cluster.n_hosts = count(value)? as usize,
-            "vms_per_host" => self.cluster.vms_per_host = count(value)? as usize,
-            "host_mem_mb" => self.cluster.host_mem_mb = num(value)?,
-            // A zero/negative storage rate or host MTBF would hang the DES
-            // (zero-length service / failure intervals rescheduled at the
-            // same instant forever); reject at spec time by name.
+            // A cluster without hosts, VM slots or memory can place no
+            // task, and a zero/negative storage rate or host MTBF would
+            // hang the DES (zero-length service / failure intervals
+            // rescheduled at the same instant forever); reject at spec
+            // time by name.
+            "n_hosts" => self.cluster.n_hosts = at_least_one(value)? as usize,
+            "vms_per_host" => self.cluster.vms_per_host = at_least_one(value)? as usize,
+            "host_mem_mb" => self.cluster.host_mem_mb = positive(value)?,
             "storage_rate" => self.cluster.storage_rate = positive(value)?,
             "host_mtbf_s" => self.cluster.host_mtbf_s = Some(positive(value)?),
             // Zero shards has no meaning (who owns the hosts?); the upper
             // bound (shards <= n_hosts) is checked at execution time,
             // where the final n_hosts is known even when the two values
             // arrive via different sweep axes.
-            "shards" => {
-                let n = count(value)? as usize;
-                if n == 0 {
-                    return Err(format!("key {key:?}: must be >= 1, got 0"));
-                }
-                self.shards = n;
-            }
+            "shards" => self.shards = at_least_one(value)? as usize,
 
             "device" => self.device = parse_device(text_of(key, value)?)?,
             "mem_mb" => self.mem_mb = positive(value)?,
@@ -689,6 +691,21 @@ mod tests {
         assert!(s.apply("host_mtbf_s", &Value::Num(0.0)).is_err());
         assert!(s.apply("storage_rate", &Value::Num(-1.0)).is_err());
         assert!(s.apply("host_mtbf_s", &Value::Num(3600.0)).is_ok());
+        // Capacity that can place no task is rejected by name too.
+        let before = s.cluster;
+        for (key, bad) in [
+            ("n_hosts", 0.0),
+            ("vms_per_host", 0.0),
+            ("host_mem_mb", 0.0),
+            ("host_mem_mb", -512.0),
+        ] {
+            let err = s.apply(key, &Value::Num(bad)).unwrap_err();
+            assert!(err.contains(key), "{key} = {bad}: {err}");
+        }
+        assert_eq!(s.cluster, before);
+        assert!(s.apply("n_hosts", &Value::Num(1.0)).is_ok());
+        assert!(s.apply("vms_per_host", &Value::Num(1.0)).is_ok());
+        assert!(s.apply("host_mem_mb", &Value::Num(0.5)).is_ok());
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! * metrics accumulate in streaming form when asked
 //!   ([`MetricsMode::Streaming`]) so million-checkpoint runs don't grow
 //!   per-event `Vec`s;
-//! * [`SimBudget`] + [`SimProgress`] make long runs interruptible and
-//!   observable — the sweep executor forwards these snapshots into
-//!   `--progress` heartbeats for stress-scale cluster cells;
+//! * [`SimBudget::progress_every`] hands [`SimProgress`] snapshots to a
+//!   callback while a long run is in flight — the sharded runner
+//!   ([`crate::shard`]) forwards them into `--progress` heartbeats;
 //! * the engine is generic over an [`Observer`] (default [`ckpt_obs::NoObs`],
 //!   which compiles every counter hook to nothing); attach a
 //!   [`ckpt_obs::Counters`] cell via [`ClusterSim::with_observer`] and run
@@ -132,43 +132,23 @@ pub enum MetricsMode {
     Streaming,
 }
 
-/// Execution budget for [`ClusterSim::run_with`]: run until done or until
-/// a limit is hit, reporting progress along the way.
+/// Reporting cadence for [`ClusterSim::run_observed`]. A run always goes
+/// to completion; the budget only decides how often it reports progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimBudget {
-    /// Stop after this many processed events.
-    pub max_events: Option<u64>,
-    /// Stop before processing any event later than this simulated time.
-    pub max_sim_time: Option<SimTime>,
     /// Invoke the progress callback every N processed events (0 = never).
     pub progress_every: u64,
 }
 
 impl SimBudget {
-    /// No limits, no progress reporting.
-    pub const UNLIMITED: SimBudget = SimBudget {
-        max_events: None,
-        max_sim_time: None,
-        progress_every: 0,
-    };
+    /// No progress reporting.
+    pub const UNLIMITED: SimBudget = SimBudget { progress_every: 0 };
 }
 
-/// How a [`ClusterSim::run_with`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStatus {
-    /// The event queue drained: every task completed.
-    Completed,
-    /// [`SimBudget::max_events`] was reached first.
-    EventBudgetExhausted,
-    /// [`SimBudget::max_sim_time`] was reached first.
-    TimeBudgetExhausted,
-}
-
-/// A progress snapshot handed to the [`ClusterSim::run_with`] /
-/// [`ClusterSim::run_observed`] callback every
-/// [`SimBudget::progress_every`] events. The sweep executor wires these
-/// into per-cell `--progress` heartbeats, so stress cluster cells report
-/// partial event counts while they run.
+/// A progress snapshot handed to the [`ClusterSim::run_observed`]
+/// callback every [`SimBudget::progress_every`] events. The sharded
+/// runner turns these into `--progress` heartbeats, so stress cluster
+/// cells report partial event counts while they run.
 #[derive(Debug, Clone, Copy)]
 pub struct SimProgress {
     /// Events processed so far.
@@ -218,12 +198,10 @@ pub struct ClusterRunResult {
     /// Events processed (arrivals, milestones, failures, checkpoint and
     /// storage completions, restores, host failures).
     pub events: u64,
-    /// How the run ended (always [`RunStatus::Completed`] via
-    /// [`ClusterSim::run`]).
-    pub status: RunStatus,
-    /// Tasks completed — equals the trace's task count when `status` is
-    /// `Completed`; smaller when a budget interrupted the run (job
-    /// records for unfinished tasks are then partial).
+    /// Tasks completed. Below the trace's task count when some task needs
+    /// more memory than a host has: the FIFO scheduler blocks behind it,
+    /// the records of unfinished jobs are partial, and
+    /// [`crate::shard::ShardedClusterSim`] reports the run as an error.
     pub tasks_done: usize,
 }
 
@@ -246,9 +224,8 @@ enum Ev {
 pub(crate) const CLUSTER_STREAM: u64 = 0xC105;
 
 /// The cluster engine. Build with [`ClusterSim::new`], then
-/// [`ClusterSim::run`] (or [`ClusterSim::run_with`] for budgeted,
-/// observable execution, or [`ClusterSim::run_observed`] to also collect
-/// the attached observer's counters).
+/// [`ClusterSim::run`] (or [`ClusterSim::run_observed`] for progress
+/// snapshots and the attached observer's counters).
 pub struct ClusterSim<'a, O: Observer = NoObs> {
     cfg: ClusterConfig,
     trace: &'a Trace,
@@ -908,89 +885,28 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         }
     }
 
-    /// Peek the next event time without consuming it.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        let arrival = self.arrivals.get(self.arrival_cursor).map(|&(t, _)| t);
-        match (arrival, self.queue.peek_time()) {
-            (Some(at), Some(qt)) => Some(at.min(qt)),
-            (Some(at), None) => Some(at),
-            (None, qt) => qt,
-        }
+    /// No task holds a host and no job is still to arrive: every task left
+    /// is queued behind one that fits no host, so nothing but host
+    /// failures could ever happen again.
+    fn stalled(&self) -> bool {
+        self.arrival_cursor == self.arrivals.len() && self.occupants.iter().all(Vec::is_empty)
     }
 
     /// Run the simulation to completion and collect results.
     pub fn run(self) -> ClusterRunResult {
-        self.run_with(SimBudget::UNLIMITED, |_| {}).0
+        self.run_observed(SimBudget::UNLIMITED, |_| {}).0
     }
 
-    /// Run under a [`SimBudget`], reporting [`SimProgress`] along the way.
-    ///
-    /// Returns the (possibly partial) result and how the run ended. When a
-    /// budget interrupts the run, records of unfinished jobs reflect only
-    /// the completed tasks' accounting — check
-    /// [`ClusterRunResult::tasks_done`] before interpreting them.
-    pub fn run_with(
-        self,
-        budget: SimBudget,
-        on_progress: impl FnMut(&SimProgress),
-    ) -> (ClusterRunResult, RunStatus) {
-        let (result, status, _) = self.run_observed(budget, on_progress);
-        (result, status)
-    }
-
-    /// [`ClusterSim::run_with`], additionally returning the observer with
+    /// Run to completion, reporting [`SimProgress`] every
+    /// [`SimBudget::progress_every`] events, and return the observer with
     /// the counters it collected. The observer never perturbs the
     /// simulation: results are bit-identical to the [`NoObs`] build.
     pub fn run_observed(
         mut self,
         budget: SimBudget,
         mut on_progress: impl FnMut(&SimProgress),
-    ) -> (ClusterRunResult, RunStatus, O) {
-        let status = self.step_budget(budget, &mut on_progress);
-        if O::ENABLED && status == RunStatus::Completed {
-            // The queue drained, so every scheduled event was popped and
-            // every provably-stale skip is accounted: the engine's event
-            // bookkeeping must balance exactly.
-            debug_assert_eq!(
-                self.obs.get(Counter::EventsPopped),
-                self.obs.get(Counter::EventsScheduled) - self.obs.get(Counter::StaleSkips),
-                "DES event accounting identity violated"
-            );
-        }
-        let obs = std::mem::take(&mut self.obs);
-        (self.into_result(status), status, obs)
-    }
-
-    /// Advance the simulation in place under a [`SimBudget`]. The engine
-    /// stays resumable after a budget stop: the sharded runner drives one
-    /// engine per shard through successive conservative time windows by
-    /// calling this with increasing `max_sim_time` horizons. Exactly the
-    /// historical event loop — a single unlimited call is the legacy
-    /// [`ClusterSim::run`] path.
-    pub(crate) fn step_budget(
-        &mut self,
-        budget: SimBudget,
-        on_progress: &mut impl FnMut(&SimProgress),
-    ) -> RunStatus {
-        let mut status = RunStatus::Completed;
-        // Budgets are checked only when another event actually exists, so a
-        // budget of exactly the total event count still reports `Completed`.
-        while let Some(next_time) = self.next_event_time() {
-            if let Some(max) = budget.max_events {
-                if self.events >= max {
-                    status = RunStatus::EventBudgetExhausted;
-                    break;
-                }
-            }
-            if let Some(limit) = budget.max_sim_time {
-                if next_time > limit {
-                    status = RunStatus::TimeBudgetExhausted;
-                    break;
-                }
-            }
-            let Some((time, ev)) = self.next_event() else {
-                break;
-            };
+    ) -> (ClusterRunResult, O) {
+        while let Some((time, ev)) = self.next_event() {
             debug_assert!(time >= self.now);
             self.now = time;
             self.events += 1;
@@ -1040,8 +956,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                         }
                     }
                     Some(Ev::HostFailure { host }) => {
-                        if self.tasks_remaining == 0 {
-                            break 'dispatch; // workload done: stop injecting, let the queue drain
+                        if self.tasks_remaining == 0 || self.stalled() {
+                            break 'dispatch; // nothing left to kill: stop injecting, let the queue drain
                         }
                         self.host_failures += 1;
                         self.obs.tick(Counter::HostFailures);
@@ -1125,39 +1041,23 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 });
             }
         }
-        status
-    }
-
-    /// Drain the observer cell, leaving a fresh default in place. Window
-    /// barriers fold these drained cells into the run-level accumulator
-    /// in shard order.
-    pub(crate) fn take_obs(&mut self) -> O {
-        std::mem::take(&mut self.obs)
-    }
-
-    /// Cumulative checkpoint-duration summary so far (both metric modes).
-    pub(crate) fn ckpt_stats(&self) -> StreamStats {
-        self.ckpt_stats
-    }
-
-    /// Cumulative checkpoint-duration sketch so far (both metric modes).
-    pub(crate) fn ckpt_sketch(&self) -> &QuantileSketch {
-        &self.ckpt_sketch
-    }
-
-    /// Events processed so far.
-    pub(crate) fn events_so_far(&self) -> u64 {
-        self.events
-    }
-
-    /// Tasks completed so far.
-    pub(crate) fn tasks_done(&self) -> usize {
-        self.store.len() - self.tasks_remaining
+        if O::ENABLED {
+            // The queue drained, so every scheduled event was popped and
+            // every provably-stale skip is accounted: the engine's event
+            // bookkeeping must balance exactly.
+            debug_assert_eq!(
+                self.obs.get(Counter::EventsPopped),
+                self.obs.get(Counter::EventsScheduled) - self.obs.get(Counter::StaleSkips),
+                "DES event accounting identity violated"
+            );
+        }
+        let obs = std::mem::take(&mut self.obs);
+        (self.into_result(), obs)
     }
 
     /// Assemble per-job records from the store (dense ids are trace order,
     /// so one running cursor walks every job's tasks without lookups).
-    pub(crate) fn into_result(self, status: RunStatus) -> ClusterRunResult {
+    fn into_result(self) -> ClusterRunResult {
         let mut jobs = Vec::with_capacity(self.trace.jobs.len());
         let mut outcomes: Vec<TaskOutcome> = Vec::new();
         let mut lengths: Vec<f64> = Vec::new();
@@ -1195,7 +1095,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             makespan: self.last_activity,
             host_failures: self.host_failures,
             events: self.events,
-            status,
             tasks_done: self.store.len() - self.tasks_remaining,
         }
     }
@@ -1236,7 +1135,6 @@ mod tests {
         }
         assert!(result.makespan > SimTime::ZERO);
         assert!(result.events > 0);
-        assert_eq!(result.status, RunStatus::Completed);
         assert_eq!(result.tasks_done, trace.task_count());
     }
 
@@ -1364,10 +1262,9 @@ mod tests {
             // A counting observer rides the same run without moving a
             // single output bit — and its totals satisfy the DES
             // accounting identities.
-            let (observed, status, counters) = ClusterSim::new(cfg, &trace, &est, policy)
+            let (observed, counters) = ClusterSim::new(cfg, &trace, &est, policy)
                 .with_observer(ckpt_obs::Counters::new())
                 .run_observed(SimBudget::UNLIMITED, |_| {});
-            assert_eq!(status, RunStatus::Completed);
             assert_eq!(
                 digest(&observed),
                 expected,
@@ -1389,11 +1286,10 @@ mod tests {
             // Routing kills through the shared plan arena is byte-identical
             // (the arena holds the same draws from the same streams), and
             // every lookup becomes a hit.
-            let (arena_run, arena_status, arena_counters) =
+            let (arena_run, arena_counters) =
                 ClusterSim::with_plans(cfg, &trace, &est, policy, &plans)
                     .with_observer(ckpt_obs::Counters::new())
                     .run_observed(SimBudget::UNLIMITED, |_| {});
-            assert_eq!(arena_status, RunStatus::Completed);
             assert_eq!(
                 digest(&arena_run),
                 expected,
@@ -1485,10 +1381,9 @@ mod tests {
             assert_eq!(digest(&arena_run), expected, "{name}: arena diverged");
             // Hazard paths under a counting observer: identical bits,
             // valid accounting.
-            let (observed, _, counters) =
-                ClusterSim::new(cfg, &trace, &est, PolicyConfig::formula3())
-                    .with_observer(ckpt_obs::Counters::new())
-                    .run_observed(SimBudget::UNLIMITED, |_| {});
+            let (observed, counters) = ClusterSim::new(cfg, &trace, &est, PolicyConfig::formula3())
+                .with_observer(ckpt_obs::Counters::new())
+                .run_observed(SimBudget::UNLIMITED, |_| {});
             assert_eq!(
                 digest(&observed),
                 expected,
@@ -1543,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn event_budget_interrupts_and_reports_progress() {
+    fn progress_ticks_once_per_event_and_is_monotone() {
         let (trace, est) = setup(60, 31);
         let full = ClusterSim::new(
             ClusterConfig::default(),
@@ -1552,24 +1447,19 @@ mod tests {
             PolicyConfig::formula3(),
         )
         .run();
-        let budget = SimBudget {
-            max_events: Some(full.events / 2),
-            max_sim_time: None,
-            progress_every: 100,
-        };
         let mut snapshots = Vec::new();
-        let (partial, status) = ClusterSim::new(
+        let (result, _) = ClusterSim::new(
             ClusterConfig::default(),
             &trace,
             &est,
             PolicyConfig::formula3(),
         )
-        .run_with(budget, |p| snapshots.push(*p));
-        assert_eq!(status, RunStatus::EventBudgetExhausted);
-        assert_eq!(partial.status, status);
-        assert_eq!(partial.events, full.events / 2);
-        assert!(partial.tasks_done < trace.task_count());
-        assert!(!snapshots.is_empty());
+        .run_observed(SimBudget { progress_every: 1 }, |p| snapshots.push(*p));
+        assert_eq!(result.events, full.events);
+        assert_eq!(result.tasks_done, trace.task_count());
+        // progress_every = 1 ticks once per processed event, including
+        // stale/drained ones.
+        assert_eq!(snapshots.len() as u64, full.events);
         // Progress is monotone in events, sim time, and completed tasks.
         for w in snapshots.windows(2) {
             assert!(w[0].events < w[1].events);
@@ -1577,71 +1467,7 @@ mod tests {
             assert!(w[0].tasks_done <= w[1].tasks_done);
         }
         assert_eq!(snapshots[0].tasks_total, trace.task_count());
-    }
-
-    #[test]
-    fn exact_event_budget_still_reports_completed() {
-        // A budget of exactly the run's event count processes everything;
-        // the status must say so (budgets are only checked while another
-        // event exists).
-        let (trace, est) = setup(60, 31);
-        let full = ClusterSim::new(
-            ClusterConfig::default(),
-            &trace,
-            &est,
-            PolicyConfig::formula3(),
-        )
-        .run();
-        let mut ticks = 0u64;
-        let (result, status) = ClusterSim::new(
-            ClusterConfig::default(),
-            &trace,
-            &est,
-            PolicyConfig::formula3(),
-        )
-        .run_with(
-            SimBudget {
-                max_events: Some(full.events),
-                max_sim_time: None,
-                progress_every: 1,
-            },
-            |_| ticks += 1,
-        );
-        assert_eq!(status, RunStatus::Completed);
-        assert_eq!(result.events, full.events);
-        assert_eq!(result.tasks_done, trace.task_count());
-        // progress_every = 1 ticks once per processed event, including
-        // stale/drained ones.
-        assert_eq!(ticks, full.events);
-    }
-
-    #[test]
-    fn time_budget_stops_before_the_limit() {
-        let (trace, est) = setup(60, 31);
-        let full = ClusterSim::new(
-            ClusterConfig::default(),
-            &trace,
-            &est,
-            PolicyConfig::formula3(),
-        )
-        .run();
-        let limit = SimTime(full.makespan.0 / 2);
-        let (partial, status) = ClusterSim::new(
-            ClusterConfig::default(),
-            &trace,
-            &est,
-            PolicyConfig::formula3(),
-        )
-        .run_with(
-            SimBudget {
-                max_sim_time: Some(limit),
-                ..SimBudget::UNLIMITED
-            },
-            |_| {},
-        );
-        assert_eq!(status, RunStatus::TimeBudgetExhausted);
-        assert!(partial.makespan <= limit);
-        assert!(partial.tasks_done < trace.task_count());
+        assert_eq!(snapshots.last().unwrap().tasks_done, trace.task_count());
     }
 
     #[test]

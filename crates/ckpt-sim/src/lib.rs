@@ -26,9 +26,9 @@
 //!   migration — used for the contention experiments and end-to-end
 //!   validation of the fast path.
 //! * [`shard`] — the sharded cluster DES: the host fleet partitioned into
-//!   contiguous host groups, one engine per shard advancing through
-//!   conservative time windows on the work-stealing substrate, metric and
-//!   counter state folded deterministically at window barriers.
+//!   contiguous host groups, one engine per shard run to completion on
+//!   the work-stealing substrate, results and counters folded once in
+//!   shard order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -47,7 +47,7 @@ pub mod task_store;
 pub mod time;
 
 pub use blcr::{BlcrModel, Device, Migration};
-pub use cluster::{ClusterSim, MetricsMode, RunStatus, SimBudget, SimProgress};
+pub use cluster::{ClusterSim, MetricsMode, SimBudget, SimProgress};
 pub use metrics::{JobRecord, StreamStats};
 pub use policy::{CostTweak, Estimates, EstimatorKind, PolicyConfig, StorageChoice};
 pub use runner::{parallel_indexed, run_trace, RunOptions};

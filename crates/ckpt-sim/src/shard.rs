@@ -27,23 +27,23 @@
 //!   the arena is keyed by *global* task id, so per-shard sub-traces
 //!   slice it for free.
 //!
-//! ## Conservative time windows
+//! ## Run to completion, fold once
 //!
-//! Shards exchange no events today (no cross-shard task migration), so
-//! they could run to completion independently; instead they advance
-//! through **conservative time windows**: each round, every live shard
-//! steps to a shared horizon (`earliest pending event + window`), then a
-//! barrier folds per-shard [`StreamStats`]/[`QuantileSketch`] state and
-//! `ckpt-obs` counter cells **in shard order**. The fold order is fixed,
-//! so merged frames are byte-identical at any thread count — and the
-//! window barrier is the seam where future cross-shard migration plugs
-//! in (a migrating task would be handed over between windows, keeping
-//! the no-look-ahead guarantee).
+//! Shards exchange no events (there is no cross-shard task migration), so
+//! each shard engine runs to completion on whichever worker claims it, and
+//! at most `threads` engines are alive at once. The finished results are
+//! then folded once, **in shard order**: job records scatter back to
+//! global trace order, and the [`StreamStats`]/[`QuantileSketch`] state
+//! and `ckpt-obs` counter cells merge shard by shard. The fold order is
+//! fixed, so merged frames are byte-identical at any thread count.
 //!
-//! Every barrier ticks [`Counter::ShardWindows`] once and
-//! [`Counter::ShardMerges`] `S − 1` times (shard 0 seeds the fold), so
-//! `shard_merges == shard_windows × (S − 1)` is a checkable invariant
-//! (`ckpt_obs::Counters::verify_shard_invariants`).
+//! A sharded run ticks [`Counter::ShardWindows`] once for its fold and
+//! [`Counter::ShardMerges`] `S − 1` times (shard 0 seeds the fold); a
+//! one-shard run ticks neither. So `shard_merges == shard_windows × (S − 1)`
+//! is a checkable invariant (`ckpt_obs::Counters::verify_shard_invariants`).
+//!
+//! `shards = 1` runs the same code: its one sub-trace borrows the parent
+//! trace, and its one engine consumes the legacy stream.
 //!
 //! ## Semantics vs. the unsharded engine
 //!
@@ -58,30 +58,33 @@
 //! contention to measure). Under [`MetricsMode::Full`],
 //! `checkpoint_durations` concatenates shard-major (chronological within
 //! a shard).
+//!
+//! A run that leaves tasks unplaced (some task needs more memory than a
+//! host has, so the FIFO scheduler blocks behind it) is an error, not a
+//! result: its job records would count unfinished work against the wall
+//! time of the tasks that did run.
 
 use crate::cluster::{
-    ClusterConfig, ClusterJobRecord, ClusterRunResult, ClusterSim, MetricsMode, RunStatus,
-    SimBudget, SimProgress,
+    ClusterConfig, ClusterJobRecord, ClusterRunResult, ClusterSim, MetricsMode, SimBudget,
 };
 use crate::metrics::StreamStats;
 use crate::policy::{Estimates, PolicyConfig};
 use crate::runner::parallel_indexed;
-use crate::time::SimDuration;
-use ckpt_obs::{Counter, NoObs, Observer};
+use crate::time::SimTime;
+use ckpt_obs::{Counter, NoObs, Observer, Progress};
 use ckpt_stats::rng::SplitMix64;
 use ckpt_stats::sketch::QuantileSketch;
 use ckpt_trace::gen::Trace;
 use ckpt_trace::plan::FailurePlanArena;
-use std::sync::Mutex;
+use std::borrow::Cow;
 
 /// Salt folded into the job-id hash so shard assignment is independent of
 /// every other consumer of the id space (failure streams, sweep cells).
 const SHARD_SALT: u64 = 0x5AAD_C105;
 
-/// Default conservative window width (simulated seconds). Shards exchange
-/// no events, so the width only sets the barrier (fold/progress) cadence;
-/// one simulated hour keeps barriers far rarer than events.
-pub const DEFAULT_WINDOW_S: f64 = 3_600.0;
+/// Events between two heartbeats of one shard engine. Purely a reporting
+/// cadence: outputs are identical for any value.
+const PROGRESS_EVERY: u64 = 65_536;
 
 /// The shard owning a job: a pure function of `(job_id, shards)` —
 /// independent of thread count, host count, and trace order.
@@ -93,12 +96,13 @@ pub fn shard_of(job_id: u64, shards: usize) -> usize {
 /// subsets in original arrival order), the scatter map back to global job
 /// indices, and the contiguous host split.
 #[derive(Debug)]
-pub struct ShardPlan {
+pub struct ShardPlan<'a> {
     /// Number of shards.
     pub shards: usize,
     /// Per-shard sub-traces (same seed and failure model as the parent,
-    /// so global task ids keep their failure streams and arena slots).
-    pub sub_traces: Vec<Trace>,
+    /// so global task ids keep their failure streams and arena slots). A
+    /// one-shard plan borrows the parent trace instead of copying it.
+    pub sub_traces: Vec<Cow<'a, Trace>>,
     /// `job_origin[s][local]` = global job index of shard `s`'s
     /// `local`-th job.
     pub job_origin: Vec<Vec<usize>>,
@@ -106,12 +110,12 @@ pub struct ShardPlan {
     pub host_counts: Vec<usize>,
 }
 
-impl ShardPlan {
+impl<'a> ShardPlan<'a> {
     /// Partition `trace` and `n_hosts` into `shards` groups.
     ///
     /// Errors when `shards == 0` or `shards > n_hosts` (a shard with zero
     /// hosts could never place a task).
-    pub fn new(trace: &Trace, shards: usize, n_hosts: usize) -> Result<ShardPlan, String> {
+    pub fn new(trace: &'a Trace, shards: usize, n_hosts: usize) -> Result<ShardPlan<'a>, String> {
         if shards == 0 {
             return Err("shards must be >= 1".into());
         }
@@ -120,21 +124,25 @@ impl ShardPlan {
                 "shards ({shards}) exceeds n_hosts ({n_hosts}): a shard would own zero hosts"
             ));
         }
-        let mut sub_jobs: Vec<Vec<_>> = vec![Vec::new(); shards];
         let mut job_origin: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (global, job) in trace.jobs.iter().enumerate() {
-            let s = shard_of(job.id, shards);
-            sub_jobs[s].push(job.clone());
-            job_origin[s].push(global);
+            job_origin[shard_of(job.id, shards)].push(global);
         }
-        let sub_traces = sub_jobs
-            .into_iter()
-            .map(|jobs| Trace {
-                jobs,
-                seed: trace.seed,
-                failure_model: trace.failure_model,
-            })
-            .collect();
+        let sub_traces = if shards == 1 {
+            // The one shard owns every job in trace order.
+            vec![Cow::Borrowed(trace)]
+        } else {
+            job_origin
+                .iter()
+                .map(|origin| {
+                    Cow::Owned(Trace {
+                        jobs: origin.iter().map(|&g| trace.jobs[g].clone()).collect(),
+                        seed: trace.seed,
+                        failure_model: trace.failure_model,
+                    })
+                })
+                .collect()
+        };
         let host_counts = (0..shards)
             .map(|s| n_hosts * (s + 1) / shards - n_hosts * s / shards)
             .collect();
@@ -159,7 +167,6 @@ pub struct ShardedClusterSim<'a> {
     shards: usize,
     threads: usize,
     metrics_mode: MetricsMode,
-    window_s: f64,
 }
 
 impl<'a> ShardedClusterSim<'a> {
@@ -181,7 +188,6 @@ impl<'a> ShardedClusterSim<'a> {
             shards,
             threads: shards,
             metrics_mode: MetricsMode::Full,
-            window_s: DEFAULT_WINDOW_S,
         }
     }
 
@@ -192,8 +198,8 @@ impl<'a> ShardedClusterSim<'a> {
         self
     }
 
-    /// Worker threads for the per-window shard advance (0 ⇒ one per
-    /// core). Thread count never changes results — only wall clock.
+    /// Worker threads for the shard engines (0 ⇒ one per core). Thread
+    /// count never changes results — only wall clock.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -205,40 +211,46 @@ impl<'a> ShardedClusterSim<'a> {
         self
     }
 
-    /// Conservative window width in simulated seconds
-    /// (default [`DEFAULT_WINDOW_S`]).
-    pub fn with_window_s(mut self, window_s: f64) -> Self {
-        self.window_s = window_s.max(1e-6);
-        self
-    }
-
-    /// Run to completion without an observer.
+    /// Run to completion without an observer or heartbeats.
     pub fn run(self) -> Result<ClusterRunResult, String> {
-        self.run_observed::<NoObs>(|_| {}).map(|(r, _)| r)
+        self.run_observed::<NoObs>(None).map(|(r, _)| r)
     }
 
-    /// Run to completion, collecting merged `ckpt-obs` counters. The
-    /// window callback fires once per barrier with aggregate progress
-    /// (events and completed tasks summed across shards).
+    /// Run every shard to completion, then fold the results and the
+    /// shards' `ckpt-obs` counters once, in shard order. With a
+    /// `progress` sink, each shard engine adds the events it has processed
+    /// every `PROGRESS_EVERY` events and once more when it finishes, from
+    /// whichever worker runs it, so the sink ends at the run's `events`.
     ///
-    /// `shards == 1` skips the window machinery entirely (one unlimited
-    /// run, no `shard_windows`/`shard_merges` ticks) and is bit-identical
-    /// to the unsharded engine.
+    /// Errors when the partition is invalid (see [`ShardPlan::new`]) or
+    /// when some task never ran because no host could place it.
     pub fn run_observed<O: Observer>(
         self,
-        mut on_window: impl FnMut(&SimProgress),
+        progress: Option<&Progress>,
     ) -> Result<(ClusterRunResult, O), String> {
         let plan = ShardPlan::new(self.trace, self.shards, self.cfg.n_hosts)?;
-        let shards = plan.shards;
-        let tasks_total: usize = self.trace.jobs.iter().map(|j| j.tasks.len()).sum();
-
-        let build = |s: usize| {
-            let cfg_s = ClusterConfig {
+        let budget = SimBudget {
+            progress_every: if progress.is_some() {
+                PROGRESS_EVERY
+            } else {
+                0
+            },
+        };
+        let runs = parallel_indexed(plan.shards, self.threads, |s| {
+            let cfg = ClusterConfig {
                 n_hosts: plan.host_counts[s],
                 ..self.cfg
             };
-            ClusterSim::for_shard(
-                cfg_s,
+            let mut reported = 0u64;
+            let mut report = |events: u64| {
+                if let Some(progress) = progress {
+                    progress.add_events(events - reported);
+                    reported = events;
+                    progress.beat();
+                }
+            };
+            let (result, obs) = ClusterSim::for_shard(
+                cfg,
                 &plan.sub_traces[s],
                 self.estimates,
                 self.policy,
@@ -247,114 +259,32 @@ impl<'a> ShardedClusterSim<'a> {
             )
             .with_metrics(self.metrics_mode)
             .with_observer(O::default())
-        };
+            .run_observed(budget, |p| report(p.events));
+            report(result.events);
+            (result, obs)
+        });
 
-        if shards == 1 {
-            // The exact legacy path: same trace, same stream, one engine.
-            let (result, status, obs) = build(0).run_observed(SimBudget::UNLIMITED, |_| {});
-            debug_assert_eq!(status, RunStatus::Completed);
-            on_window(&SimProgress {
-                events: result.events,
-                sim_time: result.makespan,
-                tasks_done: result.tasks_done,
-                tasks_total,
-            });
-            return Ok((result, obs));
-        }
-
-        let sims: Vec<Mutex<ClusterSim<'_, O>>> =
-            (0..shards).map(|s| Mutex::new(build(s))).collect();
-
+        // The one fold, in shard order (shard 0 seeds it): job records
+        // scatter back to global trace order and everything else merges.
+        // Counter sums accumulate and peaks max-merge.
         let mut master = O::default();
-        let mut done = vec![false; shards];
-        loop {
-            // The conservative horizon: no shard may advance past the
-            // earliest pending event plus one window width. Shards are
-            // independent today, so this is a cadence, not a correctness
-            // bound — but it is exactly the bound cross-shard migration
-            // will need.
-            let mut earliest = None;
-            for (s, slot) in sims.iter().enumerate() {
-                if done[s] {
-                    continue;
-                }
-                if let Some(t) = slot.lock().unwrap().next_event_time() {
-                    earliest = Some(match earliest {
-                        Some(e) if e <= t => e,
-                        _ => t,
-                    });
-                }
-            }
-            let Some(earliest) = earliest else { break };
-            let horizon = earliest + SimDuration::from_secs_f64(self.window_s);
-            let budget = SimBudget {
-                max_events: None,
-                max_sim_time: Some(horizon),
-                progress_every: 0,
-            };
-
-            // Advance every live shard to the horizon in parallel. The
-            // substrate assigns indices dynamically, but each index locks
-            // exactly one engine, so results are index-deterministic.
-            let statuses = parallel_indexed(shards, self.threads, |s| {
-                if done[s] {
-                    return RunStatus::Completed;
-                }
-                sims[s].lock().unwrap().step_budget(budget, &mut |_| {})
-            });
-
-            // Barrier: fold per-shard state in shard order. Counter cells
-            // are drained (sums accumulate across windows, peaks
-            // max-merge); metric state folds cumulatively into a fresh
-            // accumulator, so `merged` is the whole-cluster view at this
-            // barrier — the frame a future cross-window exporter would
-            // emit.
+        if plan.shards > 1 {
             master.tick(Counter::ShardWindows);
-            let mut merged_stats = StreamStats::default();
-            let mut merged_sketch = QuantileSketch::new();
-            let mut events_total = 0u64;
-            let mut tasks_done_total = 0usize;
-            for (s, status) in statuses.iter().enumerate() {
-                let mut sim = sims[s].lock().unwrap();
-                if s > 0 {
-                    master.tick(Counter::ShardMerges);
-                }
-                let cell = sim.take_obs();
-                master.merge_from(&cell);
-                merged_stats.merge(&sim.ckpt_stats());
-                merged_sketch.merge(sim.ckpt_sketch());
-                events_total += sim.events_so_far();
-                tasks_done_total += sim.tasks_done();
-                if !done[s] && *status == RunStatus::Completed {
-                    done[s] = true;
-                }
-            }
-            debug_assert_eq!(merged_stats.count, merged_sketch.count());
-            on_window(&SimProgress {
-                events: events_total,
-                sim_time: horizon,
-                tasks_done: tasks_done_total,
-                tasks_total,
-            });
-            if done.iter().all(|&d| d) {
-                break;
-            }
         }
-
-        // Final merge: scatter job records back to global trace order and
-        // fold the aggregate fields in shard order.
         let mut jobs: Vec<Option<ClusterJobRecord>> = vec![None; self.trace.jobs.len()];
         let mut durations = Vec::new();
         let mut stats = StreamStats::default();
         let mut sketch = QuantileSketch::new();
         let mut max_concurrent = 0usize;
-        let mut makespan = crate::time::SimTime::ZERO;
+        let mut makespan = SimTime::ZERO;
         let mut host_failures = 0u64;
         let mut events = 0u64;
         let mut tasks_done = 0usize;
-        for (s, slot) in sims.into_iter().enumerate() {
-            let sim = slot.into_inner().unwrap();
-            let res = sim.into_result(RunStatus::Completed);
+        for (s, (res, obs)) in runs.into_iter().enumerate() {
+            if s > 0 {
+                master.tick(Counter::ShardMerges);
+            }
+            master.merge_from(&obs);
             stats.merge(&res.checkpoint_stats);
             sketch.merge(&res.checkpoint_sketch);
             durations.extend(res.checkpoint_durations);
@@ -368,6 +298,18 @@ impl<'a> ShardedClusterSim<'a> {
                 debug_assert!(jobs[global].is_none());
                 jobs[global] = Some(rec);
             }
+        }
+        let tasks_total = self.trace.task_count();
+        if tasks_done < tasks_total {
+            return Err(format!(
+                "{} of {tasks_total} tasks were never placed: the scheduler queue \
+                 blocked behind a task no host can take (capacity keys n_hosts = {}, \
+                 vms_per_host = {}, host_mem_mb = {})",
+                tasks_total - tasks_done,
+                self.cfg.n_hosts,
+                self.cfg.vms_per_host,
+                self.cfg.host_mem_mb
+            ));
         }
         let jobs = jobs
             .into_iter()
@@ -387,7 +329,6 @@ impl<'a> ShardedClusterSim<'a> {
                 makespan,
                 host_failures,
                 events,
-                status: RunStatus::Completed,
                 tasks_done,
             },
             master,
@@ -472,6 +413,14 @@ mod tests {
             let assigned: usize = plan.job_origin.iter().map(Vec::len).sum();
             assert_eq!(assigned, trace.jobs.len());
         }
+        // One shard owns the parent trace as is: borrowed, not copied.
+        let (trace, _) = setup(8, 1);
+        let plan = ShardPlan::new(&trace, 1, 32).unwrap();
+        assert!(matches!(plan.sub_traces[0], Cow::Borrowed(_)));
+        assert_eq!(
+            plan.job_origin[0],
+            (0..trace.jobs.len()).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -597,38 +546,70 @@ mod tests {
         }
     }
 
-    /// Window accounting: `shard_merges == shard_windows × (S − 1)`,
-    /// merged `events_popped` equals the cluster event total, and the
-    /// merged counters satisfy the per-shard DES identities summed.
+    /// Fold accounting: one fold per sharded run (`shard_windows == 1`,
+    /// `shard_merges == S − 1`), none for a one-shard run; merged
+    /// `events_popped` equals the cluster event total, and the merged
+    /// counters satisfy the per-shard DES identities summed.
     #[test]
-    fn window_barriers_satisfy_shard_invariants() {
+    fn the_single_fold_satisfies_shard_invariants() {
         let (trace, est) = setup(60, 31);
         let cfg = ClusterConfig {
             host_mtbf_s: Some(3_600.0),
             ..ClusterConfig::default()
         };
-        let mut windows_seen = 0u64;
-        let (result, counters) =
-            ShardedClusterSim::new(cfg, &trace, &est, PolicyConfig::young(), 4)
-                .with_window_s(600.0)
-                .run_observed::<Counters>(|_| windows_seen += 1)
-                .unwrap();
-        assert_eq!(result.status, RunStatus::Completed);
-        counters
-            .verify_shard_invariants(4, result.events)
-            .unwrap_or_else(|e| panic!("{e}"));
-        counters
-            .verify_invariants(true)
-            .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(counters.get(Counter::ShardWindows), windows_seen);
-        assert!(windows_seen > 1, "window width too coarse to test barriers");
-        assert_eq!(
-            counters.get(Counter::ShardMerges),
-            windows_seen * 3,
-            "merges != windows * (shards - 1)"
-        );
-        assert_eq!(counters.get(Counter::EventsPopped), result.events);
-        assert_eq!(counters.get(Counter::HostFailures), result.host_failures);
+        for shards in [1u64, 4] {
+            let (result, counters) =
+                ShardedClusterSim::new(cfg, &trace, &est, PolicyConfig::young(), shards as usize)
+                    .run_observed::<Counters>(None)
+                    .unwrap();
+            counters
+                .verify_shard_invariants(shards, result.events)
+                .unwrap_or_else(|e| panic!("{e}"));
+            counters
+                .verify_invariants(true)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let windows = u64::from(shards > 1);
+            assert_eq!(counters.get(Counter::ShardWindows), windows, "S = {shards}");
+            assert_eq!(
+                counters.get(Counter::ShardMerges),
+                shards - 1,
+                "S = {shards}"
+            );
+            assert_eq!(counters.get(Counter::EventsPopped), result.events);
+            assert_eq!(counters.get(Counter::HostFailures), result.host_failures);
+            assert!(result.host_failures > 0, "S = {shards}: no host failures");
+        }
+    }
+
+    /// A task that needs more memory than a host has blocks its shard's
+    /// FIFO queue for good. The run must still end — with host failures
+    /// on too, which stop once nothing is left to kill — and be an error
+    /// naming the stranded count and the capacity keys, sharded or not.
+    #[test]
+    fn unplaced_tasks_are_a_named_error() {
+        let (trace, est) = setup(60, 31);
+        let biggest = trace.tasks().map(|(_, t)| t.mem_mb).fold(0.0, f64::max);
+        for host_mtbf_s in [None, Some(3_600.0)] {
+            let cfg = ClusterConfig {
+                host_mem_mb: biggest * 0.99,
+                host_mtbf_s,
+                ..ClusterConfig::default()
+            };
+            for shards in [1, 4] {
+                let err =
+                    ShardedClusterSim::new(cfg, &trace, &est, PolicyConfig::formula3(), shards)
+                        .run()
+                        .unwrap_err();
+                let total = trace.task_count();
+                assert!(
+                    err.contains(&format!("of {total} tasks were never placed")),
+                    "{err}"
+                );
+                for key in ["n_hosts", "vms_per_host", "host_mem_mb"] {
+                    assert!(err.contains(key), "S = {shards}: {err}");
+                }
+            }
+        }
     }
 
     /// Streaming metrics fold across shards exactly like the unsharded

@@ -65,9 +65,11 @@ USAGE:
       phase timings to <dir>; --progress streams ~2 Hz heartbeats to
       stderr. Neither changes any simulation output byte.
       --shards partitions every cluster-engine replay into <n> host-group
-      shards that advance in parallel through conservative time windows.
-      Results depend on the shard count (it is replay identity), never on
-      the thread count; --shards 1 is the exact legacy single-engine path.
+      shards, runs each to completion in parallel and folds the results
+      once in shard order. Results depend on the shard count (it is replay
+      identity), never on the thread count; --shards 1 is the single
+      engine. A cluster replay that cannot place every task (some task
+      needs more than host_mem_mb) fails its cell with a named error.
       --inject arms a deterministic fault plan (or set CKPT_FAULT_PLAN;
       the flag wins), e.g. \"panic@cell=7; io_error@write=3:times=2\".
       Failing cells retry with backoff, then quarantine with NaN metrics

@@ -441,3 +441,138 @@ fn sweep_rejects_missing_or_bad_specs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("zebra"));
     std::fs::remove_file(&bad).ok();
 }
+
+/// Sum of one metric's per-cell means in a sweep's long-format CSV
+/// (`cell,<params…>,metric,count,mean,…`).
+fn csv_metric_sum(csv: &str, metric: &str) -> f64 {
+    let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+    let col = |name: &str| header.iter().position(|h| *h == name).unwrap();
+    let (metric_col, mean_col) = (col("metric"), col("mean"));
+    csv.lines()
+        .skip(1)
+        .map(|line| line.split(',').collect::<Vec<_>>())
+        .filter(|f| f[metric_col] == metric)
+        .map(|f| f[mean_col].parse::<f64>().unwrap())
+        .sum()
+}
+
+#[test]
+fn progress_heartbeats_count_every_cluster_event() {
+    let spec_path = tmp("progress_spec");
+    std::fs::write(
+        &spec_path,
+        r#"
+        [sweep]
+        name = "progress"
+        engine = "cluster"
+        seed = 11
+        jobs = 1000
+
+        [workload]
+        long_task_fraction = 0.0
+
+        [cluster]
+        n_hosts = 16
+        host_mtbf_s = 7200
+
+        [axes]
+        policy = ["formula3", "none"]
+        "#,
+    )
+    .unwrap();
+    for shards in ["1", "4"] {
+        let dir = std::env::temp_dir().join(format!(
+            "cloud_ckpt_progress_{shards}_{}",
+            std::process::id()
+        ));
+        let out = cli()
+            .args(["sweep", "--progress", "--shards", shards, "--spec"])
+            .arg(&spec_path)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let last = stderr
+            .lines()
+            .rfind(|l| l.starts_with("progress:"))
+            .unwrap_or_else(|| panic!("--shards {shards}: no progress line in {stderr}"));
+        let reported: u64 = last
+            .split(" | ")
+            .find_map(|part| part.strip_suffix(" ev/s)"))
+            .and_then(|part| part.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("--shards {shards}: no event count in {last:?}"));
+        let csv = std::fs::read_to_string(dir.join("progress_cells.csv")).unwrap();
+        let events = csv_metric_sum(&csv, "events");
+        assert!(events > 0.0, "{csv}");
+        assert_eq!(
+            reported as f64, events,
+            "--shards {shards}: final heartbeat {last:?} vs the CSV's events"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_file(&spec_path).ok();
+}
+
+/// A task that needs more memory than any host has stalls the cluster
+/// scheduler. The cell must fail with a named error, never export the
+/// partial run as a healthy result.
+#[test]
+fn cluster_sweep_that_cannot_place_a_task_is_a_named_error() {
+    let spec_path = tmp("stranded_spec");
+    std::fs::write(
+        &spec_path,
+        r#"
+        [sweep]
+        name = "stranded"
+        engine = "cluster"
+        seed = 7
+        jobs = 400
+
+        [cluster]
+        host_mem_mb = 400
+
+        [axes]
+        policy = ["formula3"]
+        "#,
+    )
+    .unwrap();
+    let dir = std::env::temp_dir().join(format!("cloud_ckpt_stranded_{}", std::process::id()));
+    let out = cli()
+        .args(["sweep", "--spec"])
+        .arg(&spec_path)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in [
+        "tasks were never placed",
+        "n_hosts",
+        "vms_per_host",
+        "host_mem_mb",
+    ] {
+        assert!(stderr.contains(needle), "{needle:?} missing from {stderr}");
+    }
+    // The fault-isolated default quarantines the cell: no WPR row.
+    let csv = std::fs::read_to_string(dir.join("stranded_cells.csv")).unwrap();
+    assert!(csv.lines().next().unwrap().ends_with(",status"), "{csv}");
+    assert!(!csv.contains(",wpr,"), "{csv}");
+    assert!(csv.contains("never placed"), "{csv}");
+
+    let strict = cli()
+        .args(["sweep", "--strict", "--spec"])
+        .arg(&spec_path)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(!strict.status.success());
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert!(stderr.contains("tasks were never placed"), "{stderr}");
+    assert!(!stderr.contains("key \"shards\""), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&spec_path).ok();
+}
