@@ -36,8 +36,7 @@ pub type ExpResult = Result<ExpOutput, ExpError>;
 /// and an execution entry point consuming the shared [`RunContext`].
 ///
 /// Implementations are registered in [`crate::registry`] and reached
-/// through `cloud-ckpt exp list|run|all`; the legacy `exp_*` binaries are
-/// two-line shims over the same registry.
+/// through `cloud-ckpt exp list|run|all`.
 ///
 /// # Example
 ///

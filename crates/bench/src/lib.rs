@@ -5,8 +5,8 @@
 //!
 //! * [`exp`] — the `Experiment` trait (`id()`, `paper_ref()`, `claim()`,
 //!   `run(&RunContext) -> ExpOutput`).
-//! * [`registry`] — the static list of all 23 experiments, the lookup
-//!   functions, and the shims backing the legacy `exp_*` binaries.
+//! * [`registry`] — the static list of all registered experiments and
+//!   the lookup functions.
 //! * [`experiments`] — one module per experiment; each produces
 //!   structured [`ckpt_report::Frame`]s rendered by the shared writer
 //!   (CSV / JSON / aligned table) — no bespoke `println!` paths.
@@ -15,9 +15,7 @@
 //! * `benches/` — criterion micro/meso benchmarks of the policy math,
 //!   the statistics substrate, the DES engine, and the end-to-end replay.
 //!
-//! The first-class front end is `cloud-ckpt exp list|run|all`; the
-//! `src/bin/exp_*` binaries remain as two-line shims for backward
-//! compatibility.
+//! The front end is `cloud-ckpt exp list|run|all`.
 
 pub mod exp;
 pub mod experiments;
@@ -26,4 +24,3 @@ pub mod registry;
 pub mod report;
 
 pub use exp::{ExpError, ExpResult, Experiment};
-pub use registry::{shim_all, shim_main};

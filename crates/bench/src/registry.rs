@@ -1,12 +1,10 @@
 //! The static experiment registry: every paper figure/table (plus the
 //! repo's extensions) as one addressable, machine-readable list — the
-//! single source behind `cloud-ckpt exp list|run|all` and the legacy
-//! `exp_*` binary shims.
+//! single source behind `cloud-ckpt exp list|run|all`.
 
 use crate::exp::Experiment;
 use crate::experiments::*;
-use ckpt_report::{row, Frame, RunContext, Sink};
-use std::process::ExitCode;
+use ckpt_report::{row, Frame};
 
 /// Every registered experiment, in the paper's presentation order
 /// (figures/tables first, then the extensions).
@@ -71,77 +69,6 @@ pub fn catalog() -> Frame {
         ]);
     }
     frame
-}
-
-/// Entry point for the legacy `exp_*` binaries: resolve the environment
-/// (`CKPT_SCALE`, `CKPT_SEED`; unknown values are hard errors) at the
-/// experiment's default scale, run it, print tables to stdout, and write
-/// CSV frames under `results/`. This matches the historical binaries
-/// except that the sweep-backed ones no longer write the superseded
-/// `results/<name>_summary.json` companion — the cells CSV (and
-/// `cloud-ckpt exp run <id> --format json`) carry the same data.
-pub fn shim_main(id: &str) -> ExitCode {
-    let Some(exp) = find(id) else {
-        eprintln!("error: experiment {id:?} is not registered");
-        return ExitCode::FAILURE;
-    };
-    let ctx = match RunContext::from_env(exp.default_scale()) {
-        Ok(ctx) => ctx.with_sink(Sink::table().with_dir(crate::report::results_dir())),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_and_emit(exp, &ctx) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {id}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Entry point for the legacy `all_experiments` binary: run the whole
-/// registry in order (in process — no subprocess relaunching), banner per
-/// experiment, non-zero exit if any failed.
-pub fn shim_all() -> ExitCode {
-    let mut failures = Vec::new();
-    for exp in EXPERIMENTS {
-        println!("\n################################################################");
-        println!("# {}  ({})", exp.id(), exp.paper_ref());
-        println!("################################################################");
-        let ctx = match RunContext::from_env(exp.default_scale()) {
-            Ok(ctx) => ctx.with_sink(Sink::table().with_dir(crate::report::results_dir())),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = run_and_emit(*exp, &ctx) {
-            eprintln!("{} failed: {e}", exp.id());
-            failures.push(exp.id());
-        }
-    }
-    if failures.is_empty() {
-        println!("\nall experiments completed; CSVs in results/");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("\nfailed experiments: {failures:?}");
-        ExitCode::FAILURE
-    }
-}
-
-/// Run one experiment and emit its output through the context's sink;
-/// reports the files written (table format only).
-pub fn run_and_emit(exp: &dyn Experiment, ctx: &RunContext) -> Result<(), String> {
-    let output = exp.run(ctx).map_err(|e| e.to_string())?;
-    let paths = ctx.sink.emit(&output).map_err(|e| e.to_string())?;
-    if ctx.sink.format == ckpt_report::Format::Table && !ctx.sink.quiet {
-        for p in &paths {
-            println!("wrote {}", p.display());
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,24 +1,9 @@
-//! Presentation helpers for the experiment library: the results
-//! directory, compact float formatting for text cells, and ASCII CDF
-//! plots. All tabular output goes through the shared frame writer in
-//! [`ckpt_report`] — there is no bespoke table/CSV code left here.
-
-use std::path::{Path, PathBuf};
+//! Presentation helpers for the experiment library: compact float
+//! formatting for text cells and ASCII CDF plots. All tabular output goes
+//! through the shared frame writer in [`ckpt_report`] — there is no
+//! bespoke table/CSV code left here.
 
 pub use ckpt_report::compact_f64 as f;
-
-/// Where experiment outputs land. Resolves `results/` relative to the
-/// workspace root (two levels up from this crate's manifest when run via
-/// cargo), or the current directory as a fallback.
-pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = <workspace>/crates/bench at compile time.
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .parent()
-        .and_then(Path::parent)
-        .unwrap_or(Path::new("."));
-    root.join("results")
-}
 
 /// Render a compact ASCII CDF plot from `(x, F)` points (monotone in both).
 pub fn ascii_cdf(points: &[(f64, f64)], width: usize, height: usize, label: &str) -> String {
