@@ -51,7 +51,7 @@ impl StreamStats {
 
     /// Fold another summary in. Count and max merge order-free; the total
     /// is a float sum, so deterministic consumers (the sharded cluster
-    /// runner's window barriers) must merge in a fixed order.
+    /// runner's fold) must merge in a fixed order.
     pub fn merge(&mut self, other: &StreamStats) {
         self.count += other.count;
         self.total += other.total;
