@@ -3,17 +3,23 @@
 //! * With telemetry **off** (the default), sweep exports are pinned to
 //!   FNV-1a digests captured from the uninstrumented build — any byte
 //!   drift in simulation output caused by the observability layer fails
-//!   here.
+//!   here. Two more pins cover the export writer itself: an analytic
+//!   grid whose summaries all have count 1, and a degraded run with a
+//!   `status` column; both also check that the streamed exports equal
+//!   the owned frame's renderings.
 //! * With telemetry **on**, cell results are identical to the plain run,
 //!   and the deterministic counter frame is byte-identical across thread
 //!   counts on both stress specs (the cluster DES and the fast replay
 //!   paths both count simulation facts, never scheduling facts).
 
+use ckpt_faults::{FaultPlan, FaultState, TestClock};
 use ckpt_obs::{Counter, Observer, Telemetry};
 use ckpt_report::{counters_frame, RunContext, Scale};
 use ckpt_scenario::{
-    csv_string, json_string, run_sweep, run_sweep_telemetry, SweepOptions, SweepSpec,
+    csv_string, json_string, run_sweep, run_sweep_guarded, run_sweep_telemetry, to_frame,
+    FaultPolicy, SweepOptions, SweepResult, SweepSpec,
 };
+use std::sync::Arc;
 
 /// FNV-1a 64 over the rendered bytes — the same digest the golden DES
 /// tests pin, applied to exported files.
@@ -48,6 +54,83 @@ fn acceptance_sweep_exports_match_pre_telemetry_digests() {
         fnv1a(json.as_bytes()),
         0x86190083f702b315,
         "policy_x_ckpt_cost_summary.json drifted from the pre-telemetry build"
+    );
+}
+
+/// An analytic `ckpt-cost` grid: every metric of every cell is a count-1
+/// summary, so mean, p50, p99, min and max repeat one value per row.
+const COST_GRID: &str = r#"
+[sweep]
+name = "cost_grid_pin"
+engine = "ckpt-cost"
+
+[axes]
+device = ["ramdisk", "nfs", "dmnfs"]
+mem_mb = [10, 37.5, 240, 1024]
+n_checkpoints = { from = 1, to = 20, steps = 20 }
+"#;
+
+/// The streamed exports must equal the owned frame's renderings.
+fn assert_exports_match_frame(sweep: &SweepSpec, result: &SweepResult) -> (String, String) {
+    let csv = csv_string(sweep, result);
+    let json = json_string(sweep, result);
+    let frame = to_frame(sweep, result);
+    assert_eq!(frame.to_csv(), csv, "to_frame(..).to_csv() != csv_string");
+    assert_eq!(
+        frame.to_json(),
+        json,
+        "to_frame(..).to_json() != json_string"
+    );
+    (csv, json)
+}
+
+/// The count-1 export of an analytic grid, pinned byte-for-byte.
+#[test]
+fn cost_grid_exports_match_pinned_digests() {
+    let sweep = SweepSpec::from_str(COST_GRID).expect("spec parses");
+    let result = run_sweep(&sweep, SweepOptions { threads: 2 }).expect("sweep runs");
+    assert!(result
+        .cells
+        .iter()
+        .all(|c| c.metrics.iter().all(|(_, s)| s.count == 1)));
+    let (csv, json) = assert_exports_match_frame(&sweep, &result);
+    assert_eq!(csv.lines().count(), 1 + 2 * 240);
+    assert_eq!(
+        fnv1a(csv.as_bytes()),
+        0x305b17cae795ad2e,
+        "cost_grid_pin_cells.csv drifted"
+    );
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0xea6a7f367b6603df,
+        "cost_grid_pin_summary.json drifted"
+    );
+}
+
+/// A degraded run's export: one cell quarantined by an injected panic, so
+/// the `status` column appears and that cell's row carries NaN metrics.
+#[test]
+fn degraded_sweep_exports_match_pinned_digests() {
+    let sweep = load("specs/policy_x_ckpt_cost.toml");
+    let plan = FaultPlan::parse("panic@cell=7").expect("plan parses");
+    let policy = FaultPolicy {
+        faults: Arc::new(FaultState::with_clock(plan, Box::new(TestClock::default()))),
+        strict: false,
+    };
+    let (result, _) = run_sweep_guarded(&sweep, SweepOptions { threads: 4 }, None, None, &policy)
+        .expect("guarded sweep completes");
+    assert_eq!(result.health.cells_quarantined, 1);
+    let (csv, json) = assert_exports_match_frame(&sweep, &result);
+    assert!(csv.lines().next().unwrap().ends_with(",status"));
+    assert_eq!(
+        fnv1a(csv.as_bytes()),
+        0x0c68f64523719bf2,
+        "degraded policy_x_ckpt_cost_cells.csv drifted"
+    );
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0x58c4eeed4225085f,
+        "degraded policy_x_ckpt_cost_summary.json drifted"
     );
 }
 
