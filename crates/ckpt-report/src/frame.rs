@@ -1,7 +1,9 @@
-//! The structured output frame and the one shared renderer behind every
-//! CSV file, JSON document, and stdout table in the workspace.
+//! The structured output frame: its CSV and JSON renderings go through
+//! the shared row writers in [`crate::writer`], and its aligned text
+//! table is rendered here.
 
-use crate::value::{csv_field, json_escape, Value};
+use crate::value::{Cell, Value};
+use crate::writer::{push_json_text, reserve_hint, CsvWriter, JsonWriter, RowWriter};
 
 /// A named table of results: columns, typed rows, and `(key, value)`
 /// metadata. Frames are the unit of experiment output — one frame per
@@ -88,21 +90,18 @@ impl Frame {
     /// Render as CSV: one header line, one line per row, full-precision
     /// floats, RFC-4180 quoting.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let header: Vec<String> = self.columns.iter().map(|c| csv_field(c)).collect();
-        out.push_str(&header.join(","));
-        out.push('\n');
+        let mut out = String::with_capacity(reserve_hint(self.rows.len() + 1, self.columns.len()));
+        let mut w = CsvWriter::new(&mut out);
+        w.row(self.columns.iter().map(|c| Cell::Text(c)));
         for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(Value::render_csv).collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
+            w.row(row.iter().map(Value::cell));
         }
         out
     }
 
     /// Render as a self-describing JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(reserve_hint(self.rows.len() + 1, self.columns.len()));
         self.write_json(&mut out, 0);
         out.push('\n');
         out
@@ -111,44 +110,19 @@ impl Frame {
     /// Write the frame's JSON object at the given indentation level
     /// (no trailing newline), so frames can nest inside an
     /// [`ExpOutput`] document.
-    pub(crate) fn write_json(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!(
-            "{pad}  \"name\": \"{}\",\n",
-            json_escape(&self.name)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"title\": \"{}\",\n",
-            json_escape(&self.title)
-        ));
-        let meta: Vec<String> = self
-            .metadata
-            .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        out.push_str(&format!("{pad}  \"metadata\": {{{}}},\n", meta.join(", ")));
-        let cols: Vec<String> = self
-            .columns
-            .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
-            .collect();
-        out.push_str(&format!("{pad}  \"columns\": [{}],\n", cols.join(", ")));
-        if self.rows.is_empty() {
-            out.push_str(&format!("{pad}  \"rows\": []\n"));
-        } else {
-            out.push_str(&format!("{pad}  \"rows\": [\n"));
-            for (i, row) in self.rows.iter().enumerate() {
-                let cells: Vec<String> = row.iter().map(Value::render_json).collect();
-                out.push_str(&format!(
-                    "{pad}    [{}]{}\n",
-                    cells.join(", "),
-                    if i + 1 < self.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!("{pad}  ]\n"));
+    fn write_json(&self, out: &mut String, indent: usize) {
+        let mut w = JsonWriter::begin(
+            out,
+            indent,
+            &self.name,
+            &self.title,
+            self.metadata.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+            self.columns.iter().map(String::as_str),
+        );
+        for row in &self.rows {
+            w.row(row.iter().map(Value::cell));
         }
-        out.push_str(&format!("{pad}}}"));
+        w.finish();
     }
 
     /// Render as an aligned text table with a title banner and any
@@ -223,7 +197,13 @@ impl ExpOutput {
     /// Render the whole output as one JSON document:
     /// `{"frames": [...], "notes": [...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let capacity = self
+            .frames
+            .iter()
+            .map(|f| reserve_hint(f.rows.len() + 1, f.columns.len()))
+            .sum();
+        let mut out = String::with_capacity(capacity);
+        out.push_str("{\n");
         if self.frames.is_empty() {
             out.push_str("  \"frames\": [],\n");
         } else {
@@ -238,13 +218,14 @@ impl ExpOutput {
             }
             out.push_str("  ],\n");
         }
-        let notes: Vec<String> = self
-            .notes
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect();
-        out.push_str(&format!("  \"notes\": [{}]\n", notes.join(", ")));
-        out.push_str("}\n");
+        out.push_str("  \"notes\": [");
+        for (i, n) in self.notes.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_json_text(&mut out, n);
+        }
+        out.push_str("]\n}\n");
         out
     }
 }

@@ -10,6 +10,10 @@
 //!   implementation (shortest-roundtrip floats, RFC-4180 quoting, stable
 //!   key order), so outputs are byte-identical across runs, platforms,
 //!   and thread counts.
+//! * [`writer`] — the one CSV and one JSON row writer behind those
+//!   renderings: [`CsvWriter`] and [`JsonWriter`] append borrowed
+//!   [`Cell`]s into one `String`. Sweep exports stream their rows through
+//!   the same writers without building a [`Frame`].
 //! * [`ExpOutput`] — what one experiment produces: a list of frames plus
 //!   free-text notes (the prose observations the paper prints under its
 //!   figures).
@@ -35,9 +39,11 @@ pub mod frame;
 pub mod sink;
 pub mod telemetry;
 pub mod value;
+pub mod writer;
 
 pub use context::{seed_from_env, RunContext, Scale, DEFAULT_SEED};
 pub use frame::{ExpOutput, Frame};
 pub use sink::{Format, Sink};
 pub use telemetry::{counters_frame, timings_json, write_telemetry};
-pub use value::{compact_f64, csv_field, fmt_f64, json_escape, json_num, Value};
+pub use value::{compact_f64, Cell, Value};
+pub use writer::{reserve_hint, CsvWriter, JsonWriter, RowWriter};

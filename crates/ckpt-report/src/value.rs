@@ -1,5 +1,6 @@
-//! Typed frame cells and the deterministic scalar renderers shared by
-//! every output format in the workspace.
+//! Typed frame cells: the owned [`Value`] rows of a [`crate::Frame`],
+//! the borrowed [`Cell`] the row writers take, and the compact float
+//! rendering of aligned tables.
 
 /// One cell of a [`crate::Frame`] row.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,22 +15,25 @@ pub enum Value {
     Num(f64),
 }
 
-impl Value {
-    /// Render for a CSV field (full precision, RFC-4180 quoting).
-    pub fn render_csv(&self) -> String {
-        match self {
-            Value::Text(s) => csv_field(s),
-            Value::Int(i) => i.to_string(),
-            Value::Num(v) => fmt_f64(*v),
-        }
-    }
+/// One cell as the row writers ([`crate::CsvWriter`],
+/// [`crate::JsonWriter`]) take it: a [`Value`] with its text borrowed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// Free text.
+    Text(&'a str),
+    /// An exact integer.
+    Int(i64),
+    /// A measurement.
+    Num(f64),
+}
 
-    /// Render as a JSON value (numbers stay numbers; NaN/inf become null).
-    pub fn render_json(&self) -> String {
+impl Value {
+    /// Borrow this value as a row-writer cell.
+    pub fn cell(&self) -> Cell<'_> {
         match self {
-            Value::Text(s) => format!("\"{}\"", json_escape(s)),
-            Value::Int(i) => i.to_string(),
-            Value::Num(v) => json_num(*v),
+            Value::Text(s) => Cell::Text(s),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Num(v) => Cell::Num(*v),
         }
     }
 
@@ -43,6 +47,15 @@ impl Value {
     }
 }
 
+impl From<Cell<'_>> for Value {
+    fn from(cell: Cell<'_>) -> Self {
+        match cell {
+            Cell::Text(s) => Value::from(s),
+            Cell::Int(i) => Value::Int(i),
+            Cell::Num(v) => Value::Num(v),
+        }
+    }
+}
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
         Value::Text(s.to_string())
@@ -102,59 +115,6 @@ macro_rules! row {
     };
 }
 
-/// Deterministic full-precision float rendering for CSV (shortest
-/// roundtrip, with explicit `NaN` / `inf` spellings).
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v.is_infinite() {
-        if v > 0.0 {
-            "inf".to_string()
-        } else {
-            "-inf".to_string()
-        }
-    } else {
-        format!("{v}")
-    }
-}
-
-/// JSON number rendering: JSON has no NaN/inf, so they become `null`.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// RFC-4180-style quoting for a CSV field: values containing the
-/// delimiter, quotes, or newlines (e.g. a path with a comma) are wrapped
-/// and escaped instead of silently shifting columns.
-pub fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Escape a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Format a float compactly for aligned table cells.
 pub fn compact_f64(v: f64) -> String {
     if v.is_nan() {
@@ -181,21 +141,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_rendering_is_typed() {
-        assert_eq!(Value::from("a,b").render_csv(), "\"a,b\"");
-        assert_eq!(Value::from(3u32).render_csv(), "3");
-        assert_eq!(Value::from(0.1).render_csv(), "0.1");
-        assert_eq!(Value::Num(f64::NAN).render_csv(), "NaN");
-    }
-
-    #[test]
-    fn json_rendering_is_typed() {
-        assert_eq!(
-            Value::from("say \"hi\"").render_json(),
-            "\"say \\\"hi\\\"\""
-        );
-        assert_eq!(Value::from(3usize).render_json(), "3");
-        assert_eq!(Value::Num(f64::INFINITY).render_json(), "null");
+    fn cells_borrow_their_values() {
+        assert_eq!(Value::from("a,b").cell(), Cell::Text("a,b"));
+        assert_eq!(Value::from(3u32).cell(), Cell::Int(3));
+        assert_eq!(Value::Num(0.1).cell(), Cell::Num(0.1));
+        for v in [Value::from("x"), Value::Int(-4), Value::Num(2.5)] {
+            assert_eq!(Value::from(v.cell()), v);
+        }
     }
 
     #[test]
@@ -209,9 +161,8 @@ mod tests {
     }
 
     #[test]
-    fn u64_past_i64_max_renders_exactly_as_text() {
+    fn u64_past_i64_max_is_exact_text() {
         assert_eq!(Value::from(u64::MAX), Value::Text(u64::MAX.to_string()));
-        assert_eq!(Value::from(u64::MAX).render_csv(), "18446744073709551615");
         assert_eq!(Value::from(3u64), Value::Int(3));
     }
 

@@ -1,14 +1,18 @@
-//! Sweep exports, rebuilt on the workspace's shared output frame: the
-//! per-cell long-format table becomes a [`ckpt_report::Frame`] and every
-//! rendering (CSV file, JSON summary, stdout table) goes through the one
-//! deterministic writer in `ckpt-report` — so a sweep cell and a
-//! standalone experiment share a single export path, byte-identical
-//! across runs and thread counts.
+//! Sweep exports: the per-cell long-format table, one row per
+//! `(cell, metric)`. [`csv_string`] and [`json_string`] stream rows
+//! borrowed from the [`SweepResult`] straight through `ckpt-report`'s row
+//! writers, with no owned frame in between. [`to_frame`] builds the same
+//! rows as an owned [`Frame`] (for experiments that post-process them)
+//! from the same row source, so the two cannot drift. Every rendering is
+//! byte-identical across runs and thread counts.
 
 use crate::exec::{CellStatus, SweepResult};
 use crate::sweep::SweepSpec;
-use ckpt_report::{Frame, Value};
+use ckpt_report::{reserve_hint, Cell, CsvWriter, Frame, JsonWriter, RowWriter, Value};
 use std::path::{Path, PathBuf};
+
+/// The summary columns after the axis columns.
+const METRIC_COLUMNS: [&str; 7] = ["metric", "count", "mean", "p50", "p99", "min", "max"];
 
 /// A quarantine reason as a single CSV-safe cell: commas, quotes, and
 /// newlines (which would break the line-oriented CSV writer) collapse to
@@ -25,73 +29,162 @@ fn sanitize_reason(reason: &str) -> String {
         .collect()
 }
 
-/// Build the long-format cells frame: one row per `(cell, metric)` with
-/// the axis assignments as leading columns, plus sweep identity metadata
-/// (engine, seed, grid size, axes).
+/// Everything of the export but its rows: name, title, metadata and
+/// whether the run is degraded.
 ///
 /// A degraded run (at least one quarantined cell) appends a `status`
 /// column — `ok` for healthy rows, `failed: <reason>` for quarantined
 /// ones. A fully healthy run emits exactly the historical columns, so
 /// fault tolerance never perturbs clean-run bytes.
-pub fn to_frame(spec: &SweepSpec, result: &SweepResult) -> Frame {
-    let degraded = result.cells.iter().any(|c| !c.status.is_ok());
-    let mut columns: Vec<String> = vec!["cell".to_string()];
-    columns.extend(spec.axes.iter().map(|a| a.param.clone()));
-    for metric_col in ["metric", "count", "mean", "p50", "p99", "min", "max"] {
-        columns.push(metric_col.to_string());
-    }
-    if degraded {
-        columns.push("status".to_string());
-    }
-    let axes: Vec<String> = spec
-        .axes
-        .iter()
-        .map(|a| format!("{}({})", a.param, a.values.len()))
-        .collect();
-    let mut frame = Frame::new(&format!("{}_cells", result.name), columns)
-        .with_title(format!("sweep {}", result.name))
-        .with_meta("engine", spec.base.engine.label())
-        // The seed the run actually used (a RunContext may have
-        // overridden the spec's), so the metadata is reproducible.
-        .with_meta("seed", result.seed.to_string())
-        .with_meta("grid_size", spec.grid_size().to_string())
-        .with_meta("axes", axes.join(" x "));
-    for cell in &result.cells {
-        for (metric, s) in &cell.metrics {
-            let mut row: Vec<Value> = vec![Value::from(cell.index)];
-            row.extend(
-                cell.params
-                    .iter()
-                    .map(|(_, rendered)| Value::from(rendered.clone())),
-            );
-            row.push(Value::from(*metric));
-            row.push(Value::from(s.count));
-            for v in [s.mean, s.p50, s.p99, s.min, s.max] {
-                row.push(Value::Num(v));
-            }
-            if degraded {
-                row.push(Value::from(match &cell.status {
-                    CellStatus::Ok => "ok".to_string(),
-                    CellStatus::Failed { reason } => {
-                        format!("failed: {}", sanitize_reason(reason))
-                    }
-                }));
-            }
-            frame.push_row(row);
+struct Header<'s> {
+    spec: &'s SweepSpec,
+    name: String,
+    title: String,
+    metadata: [(&'static str, String); 4],
+    degraded: bool,
+}
+
+impl<'s> Header<'s> {
+    fn new(spec: &'s SweepSpec, result: &SweepResult) -> Self {
+        let axes: Vec<String> = spec
+            .axes
+            .iter()
+            .map(|a| format!("{}({})", a.param, a.values.len()))
+            .collect();
+        Header {
+            spec,
+            name: format!("{}_cells", result.name),
+            title: format!("sweep {}", result.name),
+            metadata: [
+                ("engine", spec.base.engine.label().to_string()),
+                // The seed the run actually used (a RunContext may have
+                // overridden the spec's), so the metadata is reproducible.
+                ("seed", result.seed.to_string()),
+                ("grid_size", spec.grid_size().to_string()),
+                ("axes", axes.join(" x ")),
+            ],
+            degraded: result.cells.iter().any(|c| !c.status.is_ok()),
         }
     }
-    frame
+
+    /// `cell`, one column per axis, the summary columns, and `status` on a
+    /// degraded run.
+    fn columns(&self) -> impl Iterator<Item = &str> {
+        std::iter::once("cell")
+            .chain(self.spec.axes.iter().map(|a| a.param.as_str()))
+            .chain(METRIC_COLUMNS)
+            .chain(self.degraded.then_some("status"))
+    }
+
+    fn metadata(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.metadata.iter().map(|(k, v)| (*k, v.as_str()))
+    }
+
+    /// Capacity for the rendered rows, header line included.
+    fn reserve(&self, result: &SweepResult) -> usize {
+        let rows: usize = result.cells.iter().map(|c| c.metrics.len()).sum();
+        reserve_hint(rows + 1, self.columns().count())
+    }
+}
+
+/// An index or sample count as an integer cell.
+fn count(n: usize) -> Cell<'static> {
+    Cell::Int(i64::try_from(n).expect("a cell index or sample count fits in i64"))
+}
+
+/// The row source every rendering shares: each `(cell, metric)` row, cell
+/// by cell, borrowed from `result`.
+fn write_rows(result: &SweepResult, degraded: bool, w: &mut impl RowWriter) {
+    for cell in &result.cells {
+        let failed;
+        let status = match &cell.status {
+            CellStatus::Ok => "ok",
+            CellStatus::Failed { reason } => {
+                failed = format!("failed: {}", sanitize_reason(reason));
+                &failed
+            }
+        };
+        for (metric, s) in &cell.metrics {
+            w.cell(count(cell.index));
+            for (_, rendered) in &cell.params {
+                w.cell(Cell::Text(rendered));
+            }
+            w.cell(Cell::Text(metric));
+            w.cell(count(s.count));
+            for v in [s.mean, s.p50, s.p99, s.min, s.max] {
+                w.cell(Cell::Num(v));
+            }
+            if degraded {
+                w.cell(Cell::Text(status));
+            }
+            w.end_row();
+        }
+    }
+}
+
+/// Collects the row source's rows as owned values, for [`to_frame`].
+struct FrameRows {
+    frame: Frame,
+    row: Vec<Value>,
+}
+
+impl RowWriter for FrameRows {
+    fn cell(&mut self, cell: Cell<'_>) {
+        self.row.push(Value::from(cell));
+    }
+
+    fn end_row(&mut self) {
+        self.frame.push_row(std::mem::take(&mut self.row));
+    }
+}
+
+/// Build the long-format cells frame: one row per `(cell, metric)` with
+/// the axis assignments as leading columns, plus sweep identity metadata
+/// (engine, seed, grid size, axes), and a `status` column on a degraded
+/// run. [`csv_string`] and [`json_string`] render the same rows without
+/// building it.
+pub fn to_frame(spec: &SweepSpec, result: &SweepResult) -> Frame {
+    let header = Header::new(spec, result);
+    let mut frame =
+        Frame::new(&header.name, header.columns().collect()).with_title(header.title.as_str());
+    for (k, v) in header.metadata() {
+        frame = frame.with_meta(k, v);
+    }
+    let mut rows = FrameRows {
+        frame,
+        row: Vec::new(),
+    };
+    write_rows(result, header.degraded, &mut rows);
+    rows.frame
 }
 
 /// Render the per-cell CSV (the cells frame as CSV).
 pub fn csv_string(spec: &SweepSpec, result: &SweepResult) -> String {
-    to_frame(spec, result).to_csv()
+    let header = Header::new(spec, result);
+    let mut out = String::with_capacity(header.reserve(result));
+    let mut w = CsvWriter::new(&mut out);
+    w.row(header.columns().map(Cell::Text));
+    write_rows(result, header.degraded, &mut w);
+    out
 }
 
 /// Render the JSON summary (the cells frame as a self-describing JSON
 /// document).
 pub fn json_string(spec: &SweepSpec, result: &SweepResult) -> String {
-    to_frame(spec, result).to_json()
+    let header = Header::new(spec, result);
+    let mut out = String::with_capacity(header.reserve(result));
+    let mut w = JsonWriter::begin(
+        &mut out,
+        0,
+        &header.name,
+        &header.title,
+        header.metadata(),
+        header.columns(),
+    );
+    write_rows(result, header.degraded, &mut w);
+    w.finish();
+    out.push('\n');
+    out
 }
 
 /// Write `<out_dir>/<name>_cells.csv` and `<out_dir>/<name>_summary.json`;
