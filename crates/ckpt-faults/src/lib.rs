@@ -169,8 +169,7 @@ pub enum FaultSpec {
         record: u64,
     },
     /// `crash@cells=N` — abort the process (exit code 86) once `N` cells
-    /// have persisted: the generalized spelling of the historical
-    /// `CKPT_CRASH_AFTER_CELLS` hook.
+    /// have persisted: the kill that kill-and-resume tests inject.
     Crash {
         /// Persisted-cell count that triggers the abort.
         cells: u64,
@@ -316,8 +315,8 @@ impl FaultPlan {
     }
 
     /// The `crash@cells=N` threshold, if the plan has one (first wins) —
-    /// the executor feeds it to the same persisted-cell counter the
-    /// `CKPT_CRASH_AFTER_CELLS` hook uses.
+    /// the executor feeds it to the same persisted-cell counter as the
+    /// programmatic `CheckpointConfig::crash_after_cells` hook.
     pub fn crash_after_cells(&self) -> Option<u64> {
         self.faults.iter().find_map(|f| match f {
             FaultSpec::Crash { cells } => Some(*cells),

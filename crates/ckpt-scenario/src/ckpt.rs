@@ -50,10 +50,11 @@ pub struct CheckpointConfig {
     /// evaluate only the missing ones. Without this, an existing store is
     /// truncated and the sweep starts fresh.
     pub resume: bool,
-    /// Fault injection for kill-and-resume tests: abort the process (exit
-    /// code [`CRASH_EXIT_CODE`]) once this many records have been
-    /// persisted *by this run*. Wired to the `CKPT_CRASH_AFTER_CELLS` env
-    /// knob in the CLI; never set in production paths.
+    /// The programmatic crash hook: abort the process (exit code
+    /// [`CRASH_EXIT_CODE`]) once this many records have been persisted
+    /// *by this run*. The CLI never sets it; a `crash@cells=N` fault plan
+    /// (`sweep --inject`) feeds the same abort, and this field wins when
+    /// both are set.
     pub crash_after_cells: Option<u64>,
 }
 

@@ -1153,8 +1153,8 @@ fn run_sweep_inner(
             let writer = Mutex::new(CkptWriter {
                 store,
                 written: 0,
-                // The env-var hook and a `crash@cells=N` plan directive
-                // feed the same counter; the explicit config wins.
+                // The programmatic hook and a `crash@cells=N` plan
+                // directive feed the same counter; the config wins.
                 crash_after: cfg.crash_after_cells.or(policy.faults.crash_after_cells()),
             });
             (Some(writer), loaded, Some(report))

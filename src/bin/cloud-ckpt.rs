@@ -410,36 +410,20 @@ fn finish_telemetry(telemetry: &Telemetry, dir: Option<&str>) -> Result<(), Stri
 }
 
 /// Build the optional [`CheckpointConfig`] from `--checkpoint-dir` /
-/// `--resume` and the `CKPT_CRASH_AFTER_CELLS` fault-injection knob
-/// (test-only: aborts the sweep with exit code
-/// [`cloud_ckpt::scenario::CRASH_EXIT_CODE`] after n persisted cells).
+/// `--resume`. A kill for kill-and-resume tests is injected with
+/// `--inject 'crash@cells=N'`, which feeds the same abort.
 fn checkpoint_flags(flags: &HashMap<String, String>) -> Result<Option<CheckpointConfig>, String> {
-    let dir = flags.get("checkpoint-dir");
     let resume = flags.contains_key("resume");
-    let crash_after = match std::env::var("CKPT_CRASH_AFTER_CELLS") {
-        Ok(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("CKPT_CRASH_AFTER_CELLS: expected a cell count, got {v:?}"))?,
-        ),
-        Err(_) => None,
-    };
-    let Some(dir) = dir else {
+    let Some(dir) = flags.get("checkpoint-dir") else {
         if resume {
             return Err("--resume needs --checkpoint-dir (nowhere to resume from)".into());
-        }
-        if crash_after.is_some() {
-            return Err(
-                "CKPT_CRASH_AFTER_CELLS is set but --checkpoint-dir is not; \
-                 the crash hook only makes sense for a checkpointed sweep"
-                    .into(),
-            );
         }
         return Ok(None);
     };
     Ok(Some(CheckpointConfig {
         dir: dir.into(),
         resume,
-        crash_after_cells: crash_after,
+        crash_after_cells: None,
     }))
 }
 

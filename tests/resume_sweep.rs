@@ -1,7 +1,6 @@
 //! Kill-and-resume integration tests: the `sweep --checkpoint-dir` /
-//! `--resume` path driven through the real binary, with the
-//! `CKPT_CRASH_AFTER_CELLS` fault-injection hook standing in for a
-//! preemption.
+//! `--resume` path driven through the real binary, with an injected
+//! `--inject 'crash@cells=k'` fault standing in for a preemption.
 //!
 //! The headline assertion is the tentpole contract: a sweep killed after
 //! k persisted cells and resumed produces CSV/JSON **byte-identical** to
@@ -136,7 +135,8 @@ fn killed_sweeps_resume_to_byte_identical_outputs() {
             .arg(&out_dir)
             .arg("--checkpoint-dir")
             .arg(&ckpt_dir)
-            .env("CKPT_CRASH_AFTER_CELLS", k.to_string())
+            .arg("--inject")
+            .arg(format!("crash@cells={k}"))
             .output()
             .expect("binary runs");
         assert_eq!(
@@ -260,7 +260,8 @@ fn killed_streaming_sweeps_resume_to_byte_identical_outputs() {
             .arg(&out_dir)
             .arg("--checkpoint-dir")
             .arg(&ckpt_dir)
-            .env("CKPT_CRASH_AFTER_CELLS", k.to_string())
+            .arg("--inject")
+            .arg(format!("crash@cells={k}"))
             .output()
             .expect("binary runs");
         assert_eq!(
@@ -778,31 +779,32 @@ fn resume_without_checkpoint_dir_is_a_named_error() {
         "error must name the missing flag"
     );
 
-    // The crash knob without a store to crash into is equally a mistake.
+    // An injected crash without a store to crash into is equally a
+    // mistake.
     let out = cli()
-        .args(["sweep", "--spec"])
+        .args(["sweep", "--inject", "crash@cells=3", "--spec"])
         .arg(&spec)
-        .env("CKPT_CRASH_AFTER_CELLS", "3")
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("CKPT_CRASH_AFTER_CELLS"),
-        "error must name the env knob"
+        stderr.contains("crash@cells") && stderr.contains("--checkpoint-dir"),
+        "error must name the directive and the missing flag: {stderr}"
     );
 
     let out = cli()
-        .args(["sweep", "--spec"])
+        .args(["sweep", "--inject", "crash@cells=three", "--spec"])
         .arg(&spec)
         .arg("--checkpoint-dir")
         .arg(tmp("orphan_ckpt"))
-        .env("CKPT_CRASH_AFTER_CELLS", "three")
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("expected a cell count"),
-        "bad knob values must be named"
+        stderr.contains("cannot parse \"three\" as a count"),
+        "bad crash counts must be named: {stderr}"
     );
 
     std::fs::remove_file(&spec).ok();
