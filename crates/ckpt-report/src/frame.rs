@@ -3,7 +3,7 @@
 //! table is rendered here.
 
 use crate::value::{Cell, Value};
-use crate::writer::{push_json_text, reserve_hint, CsvWriter, JsonWriter, RowWriter};
+use crate::writer::{push_json_texts, reserve_hint, CsvWriter, JsonWriter, RowWriter};
 
 /// A named table of results: columns, typed rows, and `(key, value)`
 /// metadata. Frames are the unit of experiment output — one frame per
@@ -219,12 +219,7 @@ impl ExpOutput {
             out.push_str("  ],\n");
         }
         out.push_str("  \"notes\": [");
-        for (i, n) in self.notes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_json_text(&mut out, n);
-        }
+        push_json_texts(&mut out, self.notes.iter().map(String::as_str));
         out.push_str("]\n}\n");
         out
     }

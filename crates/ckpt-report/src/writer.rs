@@ -95,7 +95,7 @@ fn push_csv_text(out: &mut String, s: &str) {
 
 /// Append `s` as a quoted JSON string. Only ASCII bytes need escaping,
 /// so the unescaped runs between them are copied as whole slices.
-pub(crate) fn push_json_text(out: &mut String, s: &str) {
+fn push_json_text(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -117,6 +117,16 @@ pub(crate) fn push_json_text(out: &mut String, s: &str) {
     }
     out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Append `items` as `, `-separated JSON strings (the body of an array).
+pub(crate) fn push_json_texts<'a>(out: &mut String, items: impl IntoIterator<Item = &'a str>) {
+    for (i, s) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_json_text(out, s);
+    }
 }
 
 /// CSV rows appended to one `String`: `,`-separated cells, one `\n` per
@@ -190,18 +200,23 @@ impl<'o> JsonWriter<'o> {
         metadata: impl IntoIterator<Item = (&'a str, &'a str)>,
         columns: impl IntoIterator<Item = &'a str>,
     ) -> Self {
+        // `{pad}  "key": ` opens each member line.
+        let member = |out: &mut String, key: &str| {
+            push_pad(out, indent + 1);
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\": ");
+        };
         push_pad(out, indent);
         out.push_str("{\n");
-        push_pad(out, indent);
-        out.push_str("  \"name\": ");
+        member(out, "name");
         push_json_text(out, name);
         out.push_str(",\n");
-        push_pad(out, indent);
-        out.push_str("  \"title\": ");
+        member(out, "title");
         push_json_text(out, title);
         out.push_str(",\n");
-        push_pad(out, indent);
-        out.push_str("  \"metadata\": {");
+        member(out, "metadata");
+        out.push('{');
         for (i, (k, v)) in metadata.into_iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
@@ -211,17 +226,12 @@ impl<'o> JsonWriter<'o> {
             push_json_text(out, v);
         }
         out.push_str("},\n");
-        push_pad(out, indent);
-        out.push_str("  \"columns\": [");
-        for (i, c) in columns.into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            push_json_text(out, c);
-        }
+        member(out, "columns");
+        out.push('[');
+        push_json_texts(out, columns);
         out.push_str("],\n");
-        push_pad(out, indent);
-        out.push_str("  \"rows\": [");
+        member(out, "rows");
+        out.push('[');
         Self {
             out,
             indent,
@@ -327,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_floats_copy_the_first_rendering() {
+    fn repeated_floats_render_like_the_first() {
         assert_eq!(
             csv(&[
                 Cell::Num(0.25),
