@@ -1,5 +1,5 @@
-//! The row writers behind every CSV file and JSON document in the
-//! workspace: [`CsvWriter`] and [`JsonWriter`] append borrowed [`Cell`]s
+//! The row writers behind every frame and sweep export rendered as CSV
+//! or JSON: [`CsvWriter`] and [`JsonWriter`] append borrowed [`Cell`]s
 //! straight into one caller-owned `String`, so rendering allocates no
 //! `String` per field or per row.
 //!

@@ -26,8 +26,9 @@
 //!   [`run_sweep_checkpointed`] resumes a killed sweep by loading
 //!   persisted cells and replaying only the missing ones — with exports
 //!   byte-identical to an uninterrupted run.
-//! * [`export`] — the per-cell results as a shared [`ckpt_report::Frame`],
-//!   rendered by the workspace's one deterministic CSV/JSON/table writer.
+//! * [`export`] — the per-cell results as CSV/JSON, streamed from borrowed
+//!   rows through `ckpt-report`'s shared row writers, or as an owned
+//!   [`ckpt_report::Frame`] built from the same rows.
 //!
 //! Sweeps also run under a shared [`ckpt_report::RunContext`]
 //! (seed + scale + threads + sink) via [`run_sweep_ctx`], so a sweep cell
