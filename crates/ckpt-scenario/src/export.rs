@@ -87,9 +87,14 @@ impl<'s> Header<'s> {
     }
 }
 
-/// An index or sample count as an integer cell.
-fn count(n: usize) -> Cell<'static> {
-    Cell::Int(i64::try_from(n).expect("a cell index or sample count fits in i64"))
+/// Write an index or sample count as an integer cell. Past `i64::MAX`
+/// (a count decoded from a corrupt store can be anything) it is exact
+/// text, as `Value::from(u64)` renders it, instead of wrapping negative.
+fn write_count(w: &mut impl RowWriter, n: usize) {
+    match i64::try_from(n) {
+        Ok(i) => w.cell(Cell::Int(i)),
+        Err(_) => w.cell(Cell::Text(&n.to_string())),
+    }
 }
 
 /// The row source every rendering shares: each `(cell, metric)` row, cell
@@ -105,12 +110,12 @@ fn write_rows(result: &SweepResult, degraded: bool, w: &mut impl RowWriter) {
             }
         };
         for (metric, s) in &cell.metrics {
-            w.cell(count(cell.index));
+            write_count(w, cell.index);
             for (_, rendered) in &cell.params {
                 w.cell(Cell::Text(rendered));
             }
             w.cell(Cell::Text(metric));
-            w.cell(count(s.count));
+            write_count(w, s.count);
             for v in [s.mean, s.p50, s.p99, s.min, s.max] {
                 w.cell(Cell::Num(v));
             }
@@ -305,6 +310,20 @@ mod tests {
         let json = json_string(&sweep, &result);
         assert!(json.contains("failed: panicked: injected; with newline"));
         assert!(json.contains("null"));
+    }
+
+    #[test]
+    fn counts_past_i64_max_export_as_exact_text() {
+        let sweep = SweepSpec::from_str(SPEC).unwrap();
+        let mut result = run_sweep(&sweep, SweepOptions::default()).unwrap();
+        result.cells[1].metrics[0].1.count = usize::MAX;
+        let csv = csv_string(&sweep, &result);
+        let json = json_string(&sweep, &result);
+        let frame = to_frame(&sweep, &result);
+        assert_eq!(frame.to_csv(), csv);
+        assert_eq!(frame.to_json(), json);
+        assert!(csv.contains(",18446744073709551615,"), "{csv}");
+        assert!(json.contains(", \"18446744073709551615\", "), "{json}");
     }
 
     #[test]
