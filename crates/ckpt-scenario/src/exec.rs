@@ -25,10 +25,7 @@ use ckpt_sim::blcr::{BlcrModel, Device};
 use ckpt_sim::cluster::MetricsMode;
 use ckpt_sim::metrics::{JobRecord, StreamDist};
 use ckpt_sim::policy::Estimates;
-use ckpt_sim::runner::{
-    parallel_indexed, run_trace_counted, run_trace_stream, run_trace_stream_counted,
-    run_trace_with_plans, ReplayStats, RunOptions,
-};
+use ckpt_sim::runner::{parallel_indexed, replay_trace, Fold, Replay, ReplayStats, RunOptions};
 use ckpt_sim::shard::ShardedClusterSim;
 use ckpt_sim::storage::{OpId, PsResource};
 use ckpt_sim::time::SimTime;
@@ -293,55 +290,29 @@ fn replay(
             // Kill plans come from the prep slot's shared arena — sampled
             // once per (trace, failure model), replayed by every
             // policy/cost cell.
-            if spec.metrics == MetricsChoice::Streaming {
-                validate_streaming(spec)?;
-                let stream = match telemetry {
-                    Some(t) => run_trace_stream_counted(
-                        &prep.trace,
-                        &prep.estimates,
-                        &cfg,
-                        RunOptions { threads },
-                        Some(&prep.plans),
-                        &t.counters,
-                    ),
-                    None => run_trace_stream(
-                        &prep.trace,
-                        &prep.estimates,
-                        &cfg,
-                        RunOptions { threads },
-                        Some(&prep.plans),
-                    ),
-                };
-                return Ok(RunData {
-                    jobs: Vec::new(),
-                    stream: Some(stream),
-                    stream_queue: None,
-                    queue_wait: None,
-                    makespan_s: None,
-                    events: None,
-                    prep,
-                });
-            }
-            let jobs = match telemetry {
-                Some(t) => run_trace_counted(
-                    &prep.trace,
-                    &prep.estimates,
-                    &cfg,
-                    RunOptions { threads },
-                    Some(&prep.plans),
-                    &t.counters,
-                ),
-                None => run_trace_with_plans(
-                    &prep.trace,
-                    &prep.estimates,
-                    &cfg,
-                    RunOptions { threads },
-                    &prep.plans,
-                ),
+            let fold = match spec.metrics {
+                MetricsChoice::Streaming => {
+                    validate_streaming(spec)?;
+                    Fold::Stream
+                }
+                MetricsChoice::Full => Fold::Records,
+            };
+            let replay = replay_trace(
+                &prep.trace,
+                &prep.estimates,
+                &cfg,
+                RunOptions { threads },
+                Some(&prep.plans),
+                fold,
+                telemetry.map(|t| &t.counters),
+            );
+            let (jobs, stream) = match replay {
+                Replay::Records(jobs) => (jobs, None),
+                Replay::Stream(stream) => (Vec::new(), Some(*stream)),
             };
             Ok(RunData {
                 jobs,
-                stream: None,
+                stream,
                 stream_queue: None,
                 queue_wait: None,
                 makespan_s: None,

@@ -9,6 +9,17 @@
 //! work stealing without a pool dependency) and writing results straight
 //! into their final slots.
 //!
+//! ## One replay body
+//!
+//! [`replay_trace`] is the single entry into the per-job loop. It takes the
+//! [`Fold`] (every [`JobRecord`], or streaming [`ReplayStats`]) and an
+//! optional counter bank, and picks the observer once: [`NoObs`] without a
+//! bank, [`Counters`] with one. Both instantiations of the generic loop are
+//! compiled in this crate, because the entry itself is not generic — a
+//! generic entry would be compiled again inside every calling crate.
+//! [`run_trace`], [`run_trace_with_plans`], [`run_trace_counted`] and
+//! [`run_trace_stream`] are one-line forms of it.
+//!
 //! ## The fast-path memory model
 //!
 //! The replay hot loop is allocation-free on a warm worker:
@@ -16,11 +27,12 @@
 //! * kill plans come either from a shared [`FailurePlanArena`] (sampled
 //!   once per `(trace, failure model)` and borrowed as `&[f64]` — the
 //!   cross-cell reuse behind sweep throughput) or are sampled into the
-//!   worker's reusable [`ReplayScratch`] buffer;
+//!   worker's reusable kill queue;
 //! * task outcomes fold straight into the job's [`JobRecord`]
 //!   ([`JobRecord::accumulate`]) — no per-job outcome/length vectors;
-//! * each worker owns one [`ReplayScratch`], handed out by
-//!   [`parallel_indexed_scratch`], reused across every job it claims.
+//! * each worker owns one kill queue and one observer, handed out by
+//!   [`parallel_indexed_scratch`] and reused across every job it claims;
+//!   the workers' observers are merged once after the join.
 //!
 //! Per-task planning goes through [`Estimates`]' memoized group lookups
 //! (see [`crate::policy`]): predictions for a `(priority, limit)` group
@@ -31,7 +43,7 @@
 use crate::blcr::BlcrModel;
 use crate::metrics::{JobRecord, StreamDist};
 use crate::policy::{plan_task, Estimates, PolicyConfig};
-use crate::task_sim::{simulate_task_queued, ExecFlip, TaskSimSpec};
+use crate::task_sim::{simulate_task_queued, ExecFlip, KillQueue, TaskSimSpec};
 use ckpt_obs::{Counter, Counters, NoObs, Observer, SharedCounters};
 use ckpt_stats::rng::Xoshiro256StarStar;
 use ckpt_trace::failure::sample_task_plan_into;
@@ -55,74 +67,31 @@ fn effective_threads(requested: usize, jobs: usize) -> usize {
     t.clamp(1, jobs.max(1))
 }
 
-/// Per-worker reusable replay buffers, handed out by
-/// [`parallel_indexed_scratch`]: one kill queue whose backing `Vec` stays
-/// warm across every job a worker claims.
-#[derive(Debug, Default)]
-pub struct ReplayScratch {
-    queue: crate::task_sim::KillQueue,
-}
-
-impl ReplayScratch {
-    /// Fresh scratch (buffers allocate lazily on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Simulate one job under a policy; returns its record. Convenience
-/// wrapper over the scratch-reusing core (fresh buffers per call).
-pub fn run_job(
-    trace: &Trace,
-    job: &JobSpec,
-    estimates: &Estimates,
-    cfg: &PolicyConfig,
-    blcr: &BlcrModel,
-) -> JobRecord {
-    run_job_scratch(
-        trace,
-        job,
-        estimates,
-        cfg,
-        blcr,
-        None,
-        &mut ReplayScratch::new(),
-    )
+/// One replay worker's state: a kill queue whose backing `Vec` stays warm
+/// across every job the worker claims, and the worker's observer.
+#[derive(Default)]
+struct ReplayScratch<O> {
+    queue: KillQueue,
+    obs: O,
 }
 
 /// Simulate one job, drawing kill plans from `plans` when provided
-/// (bit-identical to fresh sampling: the arena holds the same draws) and
-/// reusing the caller's scratch buffers.
-pub fn run_job_scratch(
+/// (bit-identical to fresh sampling: the arena holds the same draws).
+/// Counting reads the per-task [`crate::task_sim::TaskOutcome`] *after*
+/// simulation — the innermost simulate loop stays untouched — and with
+/// [`NoObs`] every hook compiles to nothing.
+fn replay_job<O: Observer>(
     trace: &Trace,
     job: &JobSpec,
     estimates: &Estimates,
     cfg: &PolicyConfig,
-    blcr: &BlcrModel,
     plans: Option<&FailurePlanArena>,
-    scratch: &mut ReplayScratch,
+    scratch: &mut ReplayScratch<O>,
 ) -> JobRecord {
-    run_job_scratch_obs(trace, job, estimates, cfg, blcr, plans, scratch, &mut NoObs)
-}
-
-/// [`run_job_scratch`] with an [`Observer`] hook. Counting reads the
-/// per-task [`crate::task_sim::TaskOutcome`] *after* simulation — the
-/// innermost simulate loop stays untouched — and with [`NoObs`] (what
-/// [`run_job_scratch`] passes) every hook compiles to nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_scratch_obs<O: Observer>(
-    trace: &Trace,
-    job: &JobSpec,
-    estimates: &Estimates,
-    cfg: &PolicyConfig,
-    blcr: &BlcrModel,
-    plans: Option<&FailurePlanArena>,
-    scratch: &mut ReplayScratch,
-    obs: &mut O,
-) -> JobRecord {
+    let obs = &mut scratch.obs;
     let mut rec = JobRecord::empty(job.id, job.structure, job.priority);
     for task in &job.tasks {
-        let mut plan = plan_task(cfg, blcr, estimates, task, job.priority);
+        let mut plan = plan_task(cfg, &BlcrModel, estimates, task, job.priority);
         // Mid-run priority flip (Figure 14 scenario): translate the job-level
         // plan to this task (each task flips at the same fraction of its own
         // work, approximating "in the middle of the job's execution").
@@ -229,7 +198,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_indexed_scratch(n, threads, || (), |(), i| f(i))
+    parallel_indexed_scratch(n, threads, || (), |(), i| f(i)).0
 }
 
 /// A raw result-slot pointer that may cross thread boundaries: every
@@ -240,7 +209,10 @@ unsafe impl<T: Send> Sync for SlotPtr<T> {}
 
 /// [`parallel_indexed`] with a per-worker scratch value: each worker calls
 /// `init()` once and threads the result through every `f` invocation it
-/// claims — how replay workers reuse their [`ReplayScratch`] buffers.
+/// claims — how replay workers reuse their kill queues. Returns the results
+/// and every worker's final scratch value (one per worker, in spawn order),
+/// so per-worker accumulators such as telemetry counters can be merged
+/// after the join.
 ///
 /// Workers claim **chunks** of indices from a shared atomic counter and
 /// write each result directly into its final slot (no per-worker
@@ -250,9 +222,17 @@ unsafe impl<T: Send> Sync for SlotPtr<T> {}
 /// balancing while fine-grained job replays amortize the counter traffic.
 ///
 /// Determinism: `f(i)` lands in slot `i` no matter which worker ran it,
-/// so the output is independent of thread count and scheduling.
-pub fn parallel_indexed_scratch<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+/// so the output is independent of thread count and scheduling. Which
+/// indices a worker's scratch saw is not; only merge it with an
+/// order-independent fold.
+pub fn parallel_indexed_scratch<S, T, I, F>(
+    n: usize,
+    threads: usize,
+    init: I,
+    f: F,
+) -> (Vec<T>, Vec<S>)
 where
+    S: Send,
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
@@ -260,7 +240,8 @@ where
     let threads = effective_threads(threads, n);
     if threads == 1 {
         let mut scratch = init();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
+        let out = (0..n).map(|i| f(&mut scratch, i)).collect();
+        return (out, vec![scratch]);
     }
 
     let chunk = (n / (threads * 8)).clamp(1, 64);
@@ -269,57 +250,186 @@ where
     unsafe { slots.set_len(n) };
     let ptr = SlotPtr(slots.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let (ptr, next, init, f) = (&ptr, &next, &init, &f);
-            s.spawn(move || {
-                let mut scratch = init();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
+    let workers = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let (ptr, next, init, f) = (&ptr, &next, &init, &f);
+                s.spawn(move || {
+                    let mut scratch = init();
+                    loop {
+                        let start = next.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= n {
+                            break;
+                        }
+                        let end = (start + chunk).min(n);
+                        for i in start..end {
+                            let value = f(&mut scratch, i);
+                            // SAFETY: each index in 0..n is claimed by
+                            // exactly one worker (disjoint chunks), so this
+                            // slot is written once with no aliasing; the
+                            // joins order all writes before the read below.
+                            unsafe { (*ptr.0.add(i)).write(value) };
+                        }
                     }
-                    let end = (start + chunk).min(n);
-                    for i in start..end {
-                        let value = f(&mut scratch, i);
-                        // SAFETY: each index in 0..n is claimed by exactly
-                        // one worker (disjoint chunks), so this slot is
-                        // written once with no aliasing; the scope join
-                        // orders all writes before the read below.
-                        unsafe { (*ptr.0.add(i)).write(value) };
-                    }
-                }
-            });
-        }
+                    scratch
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    // The scope joined every worker and the claim counter is exhausted, so
-    // all n slots are initialized. (If a worker panicked, the scope
-    // propagated the panic above and the MaybeUninit vec dropped without
-    // reading — initialized elements leak, which is safe.)
+    // Every worker joined and the claim counter is exhausted, so all n
+    // slots are initialized. (If a worker panicked, the panic propagated
+    // above and the MaybeUninit vec dropped without reading — initialized
+    // elements leak, which is safe.)
     let mut slots = std::mem::ManuallyDrop::new(slots);
     let (ptr, len, cap) = (slots.as_mut_ptr(), slots.len(), slots.capacity());
     // SAFETY: Vec<MaybeUninit<T>> and Vec<T> have identical layout and
     // every element is initialized.
-    unsafe { Vec::from_raw_parts(ptr as *mut T, len, cap) }
+    let out = unsafe { Vec::from_raw_parts(ptr as *mut T, len, cap) };
+    (out, workers)
 }
 
-/// Replay the whole trace under a policy, in parallel. Records are returned
-/// in job order (deterministic regardless of thread count).
+/// How [`replay_trace`] folds the per-job records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Every job's [`JobRecord`] in job order, each written in place into
+    /// its own slot.
+    Records,
+    /// Streaming [`ReplayStats`]: jobs fold into fixed 1024-job blocks and
+    /// block partials merge in block order, so the record vector never
+    /// materializes and the result is the same at any thread count. The
+    /// block size is part of the output bytes (moment and sketch merges
+    /// depend on their order).
+    Stream,
+}
+
+/// The result of [`replay_trace`], shaped by its [`Fold`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Replay {
+    /// [`Fold::Records`]: one record per job, in job order.
+    Records(Vec<JobRecord>),
+    /// [`Fold::Stream`]: the folded summaries.
+    Stream(Box<ReplayStats>),
+}
+
+impl Replay {
+    fn records(self) -> Vec<JobRecord> {
+        match self {
+            Replay::Records(records) => records,
+            Replay::Stream(_) => unreachable!("a records fold yields records"),
+        }
+    }
+
+    fn stream(self) -> ReplayStats {
+        match self {
+            Replay::Stream(stats) => *stats,
+            Replay::Records(_) => unreachable!("a stream fold yields stats"),
+        }
+    }
+}
+
+/// Replay the whole trace under a policy, in parallel — the one entry into
+/// the per-job loop. Kill plans come from `plans` when given (byte-identical
+/// to fresh sampling; the arena holds the exact plans the streams produce,
+/// plus the post-sampling stream states for flip re-draws), else they are
+/// sampled per task. `fold` picks the output shape. With `counters`, each
+/// worker counts into its own [`Counters`] cell, the cells merge once after
+/// the join and land in the bank in one absorb; the totals are sums of
+/// per-task facts, so they are the same at any thread count and for either
+/// fold, and the replay output is byte-identical to the uncounted run.
+pub fn replay_trace(
+    trace: &Trace,
+    estimates: &Estimates,
+    cfg: &PolicyConfig,
+    options: RunOptions,
+    plans: Option<&FailurePlanArena>,
+    fold: Fold,
+    counters: Option<&SharedCounters>,
+) -> Replay {
+    match counters {
+        None => replay::<NoObs>(trace, estimates, cfg, options, plans, fold).0,
+        Some(shared) => {
+            let (out, obs) = replay::<Counters>(trace, estimates, cfg, options, plans, fold);
+            shared.absorb(&obs);
+            out
+        }
+    }
+}
+
+/// Jobs folded per block by [`Fold::Stream`]. Fixed (independent of
+/// thread count), so partial merges happen in a deterministic block order
+/// and the folded totals are invariant to scheduling.
+const STREAM_FOLD_BLOCK: usize = 1024;
+
+/// The parallel driver behind [`replay_trace`]: the replay and the merge
+/// of every worker's observer.
+fn replay<O: Observer>(
+    trace: &Trace,
+    estimates: &Estimates,
+    cfg: &PolicyConfig,
+    options: RunOptions,
+    plans: Option<&FailurePlanArena>,
+    fold: Fold,
+) -> (Replay, O) {
+    let n = trace.jobs.len();
+    let job = |scratch: &mut ReplayScratch<O>, i: usize| {
+        replay_job(trace, &trace.jobs[i], estimates, cfg, plans, scratch)
+    };
+    let (out, workers) = match fold {
+        Fold::Records => {
+            let (records, workers) =
+                parallel_indexed_scratch(n, options.threads, ReplayScratch::default, job);
+            (Replay::Records(records), workers)
+        }
+        Fold::Stream => {
+            let blocks = n.div_ceil(STREAM_FOLD_BLOCK);
+            let (partials, workers) = parallel_indexed_scratch(
+                blocks,
+                options.threads,
+                ReplayScratch::default,
+                |scratch, b| {
+                    let mut acc = ReplayStats::new();
+                    let lo = b * STREAM_FOLD_BLOCK;
+                    for i in lo..(lo + STREAM_FOLD_BLOCK).min(n) {
+                        acc.add(&job(scratch, i));
+                    }
+                    acc
+                },
+            );
+            let mut total = ReplayStats::new();
+            for p in &partials {
+                total.merge(p);
+            }
+            (Replay::Stream(Box::new(total)), workers)
+        }
+    };
+    let mut obs = O::default();
+    for w in &workers {
+        obs.merge_from(&w.obs);
+    }
+    (out, obs)
+}
+
+/// Replay the whole trace under a policy, in parallel, sampling every kill
+/// plan. Records are returned in job order (deterministic regardless of
+/// thread count).
 pub fn run_trace(
     trace: &Trace,
     estimates: &Estimates,
     cfg: &PolicyConfig,
     options: RunOptions,
 ) -> Vec<JobRecord> {
-    run_trace_impl(trace, estimates, cfg, options, None)
+    replay_trace(trace, estimates, cfg, options, None, Fold::Records, None).records()
 }
 
 /// [`run_trace`] drawing every kill plan from a shared
-/// [`FailurePlanArena`] instead of re-sampling — byte-identical output
-/// (the arena holds the exact plans the streams produce, plus the
-/// post-sampling stream states for flip re-draws), minus the whole
-/// sampling pass. This is the sweep engine's cross-cell fast path: one
-/// arena per `(trace, failure model)` serves every policy/cost cell.
+/// [`FailurePlanArena`] instead of re-sampling — byte-identical output,
+/// minus the whole sampling pass. This is the sweep engine's cross-cell
+/// fast path: one arena per `(trace, failure model)` serves every
+/// policy/cost cell.
 pub fn run_trace_with_plans(
     trace: &Trace,
     estimates: &Estimates,
@@ -327,45 +437,20 @@ pub fn run_trace_with_plans(
     options: RunOptions,
     plans: &FailurePlanArena,
 ) -> Vec<JobRecord> {
-    run_trace_impl(trace, estimates, cfg, options, Some(plans))
-}
-
-fn run_trace_impl(
-    trace: &Trace,
-    estimates: &Estimates,
-    cfg: &PolicyConfig,
-    options: RunOptions,
-    plans: Option<&FailurePlanArena>,
-) -> Vec<JobRecord> {
-    let blcr = BlcrModel;
-    parallel_indexed_scratch(
-        trace.jobs.len(),
-        options.threads,
-        ReplayScratch::new,
-        |scratch, i| run_job_scratch(trace, &trace.jobs[i], estimates, cfg, &blcr, plans, scratch),
+    replay_trace(
+        trace,
+        estimates,
+        cfg,
+        options,
+        Some(plans),
+        Fold::Records,
+        None,
     )
+    .records()
 }
 
-/// A worker's replay scratch plus its local counter cell; the cell
-/// flushes into the shared bank when the worker retires its scratch —
-/// exactly one absorb per worker, outside the hot loop.
-struct CountedScratch<'s> {
-    scratch: ReplayScratch,
-    obs: Counters,
-    shared: &'s SharedCounters,
-}
-
-impl Drop for CountedScratch<'_> {
-    fn drop(&mut self) {
-        self.shared.absorb(&self.obs);
-    }
-}
-
-/// [`run_trace`] / [`run_trace_with_plans`] with telemetry counters:
-/// per-worker [`Counters`] cells (plain adds in the loop) absorbed into
-/// `shared` at worker exit. Counter totals are sums of per-task
-/// simulation facts, so they are invariant to thread count — and the
-/// replay output is byte-identical to the uncounted paths.
+/// [`run_trace`] / [`run_trace_with_plans`] with telemetry counters
+/// absorbed into `shared` (see [`replay_trace`]).
 pub fn run_trace_counted(
     trace: &Trace,
     estimates: &Estimates,
@@ -374,28 +459,16 @@ pub fn run_trace_counted(
     plans: Option<&FailurePlanArena>,
     shared: &SharedCounters,
 ) -> Vec<JobRecord> {
-    let blcr = BlcrModel;
-    parallel_indexed_scratch(
-        trace.jobs.len(),
-        options.threads,
-        || CountedScratch {
-            scratch: ReplayScratch::new(),
-            obs: Counters::new(),
-            shared,
-        },
-        |cs, i| {
-            run_job_scratch_obs(
-                trace,
-                &trace.jobs[i],
-                estimates,
-                cfg,
-                &blcr,
-                plans,
-                &mut cs.scratch,
-                &mut cs.obs,
-            )
-        },
+    replay_trace(
+        trace,
+        estimates,
+        cfg,
+        options,
+        plans,
+        Fold::Records,
+        Some(shared),
     )
+    .records()
 }
 
 /// Streaming per-metric summaries of one whole-trace replay — the fast
@@ -471,15 +544,8 @@ impl ReplayStats {
     }
 }
 
-/// Jobs folded per block by [`run_trace_stream`]. Fixed (independent of
-/// thread count), so partial merges happen in a deterministic block order
-/// and the folded totals are invariant to scheduling.
-const STREAM_FOLD_BLOCK: usize = 1024;
-
-/// Replay the whole trace and fold every job record into streaming
-/// summaries without materializing the record vector. Deterministic for
-/// any thread count: jobs fold into fixed 1024-job blocks and block
-/// partials merge in block order.
+/// Replay the whole trace into streaming summaries ([`Fold::Stream`])
+/// without materializing the record vector.
 pub fn run_trace_stream(
     trace: &Trace,
     estimates: &Estimates,
@@ -487,93 +553,7 @@ pub fn run_trace_stream(
     options: RunOptions,
     plans: Option<&FailurePlanArena>,
 ) -> ReplayStats {
-    let blcr = BlcrModel;
-    let n = trace.jobs.len();
-    let blocks = n.div_ceil(STREAM_FOLD_BLOCK);
-    let partials =
-        parallel_indexed_scratch(blocks, options.threads, ReplayScratch::new, |scratch, b| {
-            let mut acc = ReplayStats::new();
-            let lo = b * STREAM_FOLD_BLOCK;
-            let hi = (lo + STREAM_FOLD_BLOCK).min(n);
-            for i in lo..hi {
-                let rec =
-                    run_job_scratch(trace, &trace.jobs[i], estimates, cfg, &blcr, plans, scratch);
-                acc.add(&rec);
-            }
-            acc
-        });
-    let mut total = ReplayStats::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-/// [`run_trace_stream`] with telemetry counters, mirroring
-/// [`run_trace_counted`]: per-worker cells, one absorb per worker at
-/// scratch drop, totals invariant to thread count, streamed stats
-/// byte-for-byte equal to the uncounted path.
-pub fn run_trace_stream_counted(
-    trace: &Trace,
-    estimates: &Estimates,
-    cfg: &PolicyConfig,
-    options: RunOptions,
-    plans: Option<&FailurePlanArena>,
-    shared: &SharedCounters,
-) -> ReplayStats {
-    let blcr = BlcrModel;
-    let n = trace.jobs.len();
-    let blocks = n.div_ceil(STREAM_FOLD_BLOCK);
-    let partials = parallel_indexed_scratch(
-        blocks,
-        options.threads,
-        || CountedScratch {
-            scratch: ReplayScratch::new(),
-            obs: Counters::new(),
-            shared,
-        },
-        |cs, b| {
-            let mut acc = ReplayStats::new();
-            let lo = b * STREAM_FOLD_BLOCK;
-            let hi = (lo + STREAM_FOLD_BLOCK).min(n);
-            for i in lo..hi {
-                let rec = run_job_scratch_obs(
-                    trace,
-                    &trace.jobs[i],
-                    estimates,
-                    cfg,
-                    &blcr,
-                    plans,
-                    &mut cs.scratch,
-                    &mut cs.obs,
-                );
-                acc.add(&rec);
-            }
-            acc
-        },
-    );
-    let mut total = ReplayStats::new();
-    for p in &partials {
-        total.merge(p);
-    }
-    total
-}
-
-/// Convenience: run the same trace under several policies, reusing the
-/// estimates *and* one shared kill-plan arena (the shape of every
-/// multi-line figure in the paper: identical kills replayed under every
-/// policy, sampled exactly once).
-pub fn run_policies(
-    trace: &Trace,
-    estimates: &Estimates,
-    configs: &[PolicyConfig],
-    options: RunOptions,
-) -> Vec<Vec<JobRecord>> {
-    let plans = FailurePlanArena::build(trace);
-    configs
-        .iter()
-        .map(|cfg| run_trace_with_plans(trace, estimates, cfg, options, &plans))
-        .collect()
+    replay_trace(trace, estimates, cfg, options, plans, Fold::Stream, None).stream()
 }
 
 #[cfg(test)]
@@ -714,11 +694,17 @@ mod tests {
         // Scratch state must never leak between indices in observable
         // output: f returns a pure function of i regardless of the scratch
         // history it sees.
-        let out = parallel_indexed_scratch(500, 7, Vec::<usize>::new, |scratch, i| {
+        let (out, workers) = parallel_indexed_scratch(500, 7, Vec::<usize>::new, |scratch, i| {
             scratch.push(i);
             i * 2
         });
         assert_eq!(out, (0..500).map(|i| i * 2).collect::<Vec<_>>());
+        // Every worker's scratch comes back, and together they saw each
+        // index exactly once.
+        assert_eq!(workers.len(), 7);
+        let mut seen = workers.concat();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..500).collect::<Vec<_>>());
     }
 
     #[test]
@@ -749,16 +735,6 @@ mod tests {
         let m_f3 = mean(&f3);
         let m_none = mean(&none);
         assert!(m_f3 > m_none, "formula3 {m_f3} vs none {m_none}");
-    }
-
-    #[test]
-    fn run_policies_matches_individual_runs() {
-        let (trace, est) = setup(60, 13);
-        let cfgs = [PolicyConfig::formula3(), PolicyConfig::young()];
-        let both = run_policies(&trace, &est, &cfgs, RunOptions::default());
-        let f3 = run_trace(&trace, &est, &cfgs[0], RunOptions::default());
-        assert_eq!(both[0], f3);
-        assert_eq!(both.len(), 2);
     }
 
     #[test]
@@ -798,40 +774,49 @@ mod tests {
 
     #[test]
     fn counted_replay_is_byte_identical_and_thread_invariant() {
-        let (trace, est) = setup(150, 21);
+        // More jobs than one stream block, so the stream fold merges
+        // several block partials.
+        let (trace, est) = setup(1100, 21);
+        assert!(trace.jobs.len() > STREAM_FOLD_BLOCK);
         let cfg = PolicyConfig::formula3();
         let plans = FailurePlanArena::build(&trace);
-        let plain = run_trace_with_plans(&trace, &est, &cfg, RunOptions { threads: 2 }, &plans);
+        let run = |fold: Fold, threads: usize, counters: Option<&SharedCounters>| {
+            let options = RunOptions { threads };
+            replay_trace(&trace, &est, &cfg, options, Some(&plans), fold, counters)
+        };
+        let mut totals = Vec::new();
+        for fold in [Fold::Records, Fold::Stream] {
+            // The Debug rendering carries every accumulated bit, NaN
+            // included.
+            let plain = format!("{:?}", run(fold, 2, None));
+            for threads in [1, 4] {
+                let uncounted = run(fold, threads, None);
+                assert_eq!(
+                    format!("{uncounted:?}"),
+                    plain,
+                    "{fold:?} at {threads} threads"
+                );
+                let shared = SharedCounters::new();
+                let counted = run(fold, threads, Some(&shared));
+                assert_eq!(
+                    format!("{counted:?}"),
+                    plain,
+                    "counting changed the {fold:?} output at {threads} threads"
+                );
+                totals.push(shared.snapshot());
+            }
+        }
 
-        let shared1 = SharedCounters::new();
-        let counted1 = run_trace_counted(
-            &trace,
-            &est,
-            &cfg,
-            RunOptions { threads: 1 },
-            Some(&plans),
-            &shared1,
-        );
-        assert_eq!(plain, counted1, "counting changed replay output");
-
-        let shared4 = SharedCounters::new();
-        let counted4 = run_trace_counted(
-            &trace,
-            &est,
-            &cfg,
-            RunOptions { threads: 4 },
-            Some(&plans),
-            &shared4,
-        );
-        assert_eq!(plain, counted4);
-
-        // Counter totals are sums of per-task facts: thread-invariant.
-        let c1 = shared1.snapshot();
-        let c4 = shared4.snapshot();
-        assert_eq!(format!("{c1:?}"), format!("{c4:?}"));
-        assert_eq!(c1.get(Counter::JobsReplayed), trace.jobs.len() as u64);
-        assert_eq!(c1.get(Counter::TasksReplayed), trace.task_count() as u64);
-        c1.verify_invariants(false).expect("arena identity");
+        // Counter totals are sums of per-task facts: the same at any
+        // thread count and for either fold.
+        let c = totals[0];
+        for other in &totals {
+            assert_eq!(format!("{other:?}"), format!("{c:?}"));
+        }
+        assert_eq!(c.get(Counter::JobsReplayed), trace.jobs.len() as u64);
+        assert_eq!(c.get(Counter::TasksReplayed), trace.task_count() as u64);
+        assert!(c.get(Counter::TaskKills) > 0, "no failures counted");
+        c.verify_invariants(false).expect("arena identity");
     }
 
     #[test]
@@ -864,21 +849,5 @@ mod tests {
         assert_eq!(c.get(Counter::ArenaHits), 0);
         assert_eq!(c.get(Counter::ArenaMisses), tasks);
         c.verify_invariants(false).expect("arena identity");
-    }
-
-    #[test]
-    fn counted_stream_matches_uncounted_stream() {
-        let (trace, est) = setup(150, 23);
-        let cfg = PolicyConfig::formula3();
-        let plains = run_trace_stream(&trace, &est, &cfg, RunOptions { threads: 2 }, None);
-        let shared = SharedCounters::new();
-        let counted =
-            run_trace_stream_counted(&trace, &est, &cfg, RunOptions { threads: 2 }, None, &shared);
-        // StreamStats has no PartialEq; the debug rendering carries every
-        // accumulated bit.
-        assert_eq!(format!("{plains:?}"), format!("{counted:?}"));
-        let c = shared.snapshot();
-        assert_eq!(c.get(Counter::JobsReplayed), trace.jobs.len() as u64);
-        assert!(c.get(Counter::TaskKills) > 0, "no failures counted");
     }
 }

@@ -99,7 +99,7 @@ proptest! {
         prop_assert_eq!(&seq, &par);
         // The scratch variant must agree too, with scratch history
         // invisible in the output (each worker's scratch accumulates).
-        let scr = parallel_indexed_scratch(
+        let (scr, _) = parallel_indexed_scratch(
             n,
             threads,
             Vec::<usize>::new,
