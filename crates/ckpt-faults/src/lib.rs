@@ -3,7 +3,7 @@
 //! The paper's premise is that long computations survive failures; this
 //! crate lets the sweep executor *prove* it does, by injecting failures
 //! on purpose. A [`FaultPlan`] is a small textual program parsed from
-//! `--inject` / `CKPT_FAULT_PLAN` — e.g.
+//! `--inject` — e.g.
 //!
 //! ```text
 //! panic@cell=17; io_error@write=5:kind=interrupted:times=2; crash@cells=9

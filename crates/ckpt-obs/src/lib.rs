@@ -109,7 +109,7 @@ pub enum Counter {
     /// backoff).
     IoRetries,
     /// Faults an injected [`FaultPlan`] actually fired
-    /// (`--inject` / `CKPT_FAULT_PLAN`; zero on clean runs).
+    /// (`--inject`; zero on clean runs).
     ///
     /// [`FaultPlan`]: https://docs.rs/ckpt-faults
     FaultsInjected,

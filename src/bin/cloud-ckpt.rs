@@ -70,8 +70,8 @@ USAGE:
       identity), never on the thread count; --shards 1 is the single
       engine. A cluster replay that cannot place every task (some task
       needs more than host_mem_mb) fails its cell with a named error.
-      --inject arms a deterministic fault plan (or set CKPT_FAULT_PLAN;
-      the flag wins), e.g. \"panic@cell=7; io_error@write=3:times=2\".
+      --inject arms a deterministic fault plan, e.g.
+      \"panic@cell=7; io_error@write=3:times=2\".
       Failing cells retry with backoff, then quarantine with NaN metrics
       and a `status` column while the rest of the grid completes; a run
       health summary goes to stderr. --strict restores fail-fast (first
@@ -427,18 +427,13 @@ fn checkpoint_flags(flags: &HashMap<String, String>) -> Result<Option<Checkpoint
     }))
 }
 
-/// Build the [`FaultPolicy`] from `--inject` / `--strict` and the
-/// `CKPT_FAULT_PLAN` environment knob. The flag wins over the
-/// environment; with neither, the policy carries an empty plan (nothing
-/// injected) and cells still quarantine on genuine failures unless
-/// `--strict` asks for the historical fail-fast discipline.
+/// Build the [`FaultPolicy`] from `--inject` / `--strict`. Without
+/// `--inject` the policy carries an empty plan (nothing injected) and
+/// cells still quarantine on genuine failures unless `--strict` asks for
+/// the historical fail-fast discipline.
 fn fault_flags(flags: &HashMap<String, String>) -> Result<FaultPolicy, String> {
-    let plan_text = match flags.get("inject") {
-        Some(text) => Some(text.clone()),
-        None => std::env::var("CKPT_FAULT_PLAN").ok(),
-    };
-    let plan = match plan_text {
-        Some(text) => FaultPlan::parse(&text).map_err(|e| format!("flag --inject: {e}"))?,
+    let plan = match flags.get("inject") {
+        Some(text) => FaultPlan::parse(text).map_err(|e| format!("flag --inject: {e}"))?,
         None => FaultPlan::default(),
     };
     Ok(FaultPolicy {
