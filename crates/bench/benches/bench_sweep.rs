@@ -1,11 +1,11 @@
 //! Criterion benches of the sweep engine: grid expansion, cell evaluation
 //! throughput (cells/sec) for the replay and analytic engines, the run-key
 //! cache's amortization of filter-only grids, the cluster-DES
-//! throughput benchmark (events/sec on the stress-fleet workload), which
-//! records its measurement in `BENCH_des.json` at the repo root, and the
+//! throughput benchmark (events/sec on the stress-fleet workload), and the
 //! fast-path sweep throughput benchmark (cells/sec on the
-//! `policy_x_ckpt_cost` acceptance grid), which records `BENCH_sweep.json`
-//! the same way.
+//! `policy_x_ckpt_cost` acceptance grid) with its same-process overhead
+//! bars. Each prints a one-line summary; the repeatable record with host
+//! fingerprint, samples and output checks is `perfbench/`.
 //!
 //! `CKPT_BENCH_ONLY=<substring>` restricts a run to matching bench groups
 //! (the CI smoke uses `CKPT_BENCH_ONLY=sweep_throughput`).
@@ -141,7 +141,7 @@ fn bench_scaling(c: &mut Criterion) {
 
 /// The stress-fleet bench workload: `specs/stress_fleet.toml`'s cluster
 /// shape (128 hosts × 8 VMs, host MTBF 2 h, saturating arrivals) at a
-/// bench-sized job count. `CKPT_DES_BENCH_JOBS` overrides the size.
+/// bench-sized job count.
 fn des_bench_setup(jobs: usize) -> (ckpt_trace::gen::Trace, Estimates, ClusterConfig) {
     let mut spec = WorkloadSpec::google_like(jobs);
     spec.mean_interarrival_s = 2.0;
@@ -191,11 +191,9 @@ fn des_measure_sharded(jobs: usize, shards: usize, threads: usize) -> (u64, f64)
     (result.events, wall)
 }
 
-/// DES throughput on the stress-fleet workload, recorded in
-/// `BENCH_des.json`. A `sharded` leg runs the same workload through
-/// [`ShardedClusterSim`] (host-group shards run to completion, folded
-/// once) and records its wall, rate, and shard counters alongside the
-/// thread count it ran with.
+/// DES throughput on the stress-fleet workload. A `sharded` leg runs the
+/// same workload through [`ShardedClusterSim`] (host-group shards run to
+/// completion, folded once) and checks its shard counters.
 fn bench_des_throughput(c: &mut Criterion) {
     if !bench_enabled("des_throughput") {
         return;
@@ -210,17 +208,8 @@ fn bench_des_throughput(c: &mut Criterion) {
     });
     g.finish();
 
-    // ...and the recorded measurement runs the full stress-bench size once.
-    // `BENCH_des.json` is only (re)written when CKPT_DES_BENCH_RECORD=1 —
-    // the checked-in file is a point-in-time record on one machine, and a
-    // casual `cargo bench` on another machine must not silently clobber
-    // it. Without the flag, a smaller
-    // instance is measured and printed for orientation only.
-    let record = std::env::var("CKPT_DES_BENCH_RECORD").is_ok_and(|v| v == "1");
-    let jobs: usize = std::env::var("CKPT_DES_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if record { 30_000 } else { 3_000 });
+    // ...and one timed end-to-end run is printed for orientation.
+    let jobs = 3_000;
     let (events, tasks, wall) = des_measure(jobs);
     let events_per_sec = events as f64 / wall;
     // Telemetry counters from an observed, *untimed* run of the same
@@ -238,9 +227,9 @@ fn bench_des_throughput(c: &mut Criterion) {
     // Sharded leg: the same workload with the host fleet partitioned into
     // contiguous host-group shards, each run to completion in parallel and
     // folded once in shard order. The design target is >= 4x wall over the
-    // single-engine run at shards = threads = cores; the record keeps the
-    // thread count alongside the numbers so a capture on a small machine
-    // reads as what it is.
+    // single-engine run at shards = threads = cores; the summary line
+    // names the thread count so a run on a small machine reads as what it
+    // is.
     let shard_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -260,30 +249,11 @@ fn bench_des_throughput(c: &mut Criterion) {
     sharded_counters
         .verify_shard_invariants(shards as u64, sharded_events)
         .expect("sharded counter identities");
-    let shard_windows = sharded_counters.get(Counter::ShardWindows);
-    let shard_merges = sharded_counters.get(Counter::ShardMerges);
 
-    let json = format!(
-        "{{\n  \"bench\": \"des_throughput\",\n  \"workload\": {{\n    \"spec_shape\": \"specs/stress_fleet.toml\",\n    \"jobs\": {jobs},\n    \"tasks\": {tasks},\n    \"seed\": 20130217\n  }},\n  \"engine\": {{\n    \"events\": {events},\n    \"wall_s\": {wall:.3},\n    \"events_per_sec\": {events_per_sec:.0}\n  }},\n  \"counters\": {{\n    \"events_popped\": {},\n    \"task_kills\": {},\n    \"host_failures\": {},\n    \"checkpoints_written\": {},\n    \"heap_peak\": {}\n  }},\n  \"sharded\": {{\n    \"shards\": {shards},\n    \"threads\": {shard_threads},\n    \"events\": {sharded_events},\n    \"wall_s\": {sharded_wall:.3},\n    \"events_per_sec\": {sharded_rate:.0},\n    \"speedup_wall_vs_unsharded\": {sharded_speedup:.2},\n    \"shard_windows\": {shard_windows},\n    \"shard_merges\": {shard_merges},\n    \"note\": \"host fleet split into contiguous shard groups, each run to completion and folded once in shard order; results depend on the shard count, never the thread count. The >= 4x wall target applies at shards = threads = cores; this record was captured with threads = {shard_threads}.\"\n  }}\n}}\n",
-        counters.get(Counter::EventsPopped),
-        counters.get(Counter::TaskKills),
-        counters.get(Counter::HostFailures),
-        counters.get(Counter::CheckpointsWritten),
-        counters.get(Counter::HeapPeak),
-    );
-    if record {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
-        std::fs::write(path, &json).expect("write BENCH_des.json");
-    }
     println!(
         "des_throughput: {jobs} jobs / {tasks} tasks -> {events} events in {wall:.3}s \
          ({events_per_sec:.0} ev/s); sharded x{shards} on {shard_threads} thread(s): \
-         {sharded_wall:.3}s ({sharded_rate:.0} ev/s, {sharded_speedup:.2}x wall){}",
-        if record {
-            " — BENCH_des.json updated"
-        } else {
-            " — set CKPT_DES_BENCH_RECORD=1 to re-record BENCH_des.json"
-        }
+         {sharded_wall:.3}s ({sharded_rate:.0} ev/s, {sharded_speedup:.2}x wall)"
     );
 }
 
@@ -354,27 +324,23 @@ fn bench_failure_samplers(c: &mut Criterion) {
 const ACCEPTANCE_GRID: &str = include_str!("../../../specs/policy_x_ckpt_cost.toml");
 
 /// Fast-path sweep throughput on the `policy_x_ckpt_cost` grid (24 cells,
-/// 800 jobs, one shared trace), recorded in `BENCH_sweep.json`. A second
-/// record times the `ext_hazard_robustness` experiment
-/// end to end (registry run at its default scale), the sweep-backed
-/// experiment the ISSUE named as the secondary workload. A third leg runs
-/// the same grid with `--checkpoint-dir` persistence on, so the store's
-/// overhead (bar: ≤ 5% cells/sec regression) is part of the record. A
-/// fourth leg runs the grid in `metrics = "streaming"` mode against its
-/// full-mode twin (both at `sample = "all"`, which streaming requires),
-/// so the quantile-sketch fold's overhead (same ≤ 5% bar) is too. A
-/// fifth leg re-runs the checkpointed grid through `run_sweep_guarded`
-/// with a never-firing fault plan armed, pinning the fault-isolation
-/// layer's guard overhead to the same ≤ 5% bar.
+/// 800 jobs, one shared trace). A second leg times the
+/// `ext_hazard_robustness` experiment end to end (registry run at its
+/// default scale). A third leg runs the same grid with `--checkpoint-dir`
+/// persistence on, so the store's overhead is held to a bar of ≤ 5%
+/// cells/sec regression. A fourth leg runs the grid in
+/// `metrics = "streaming"` mode against its full-mode twin (both at
+/// `sample = "all"`, which streaming requires), holding the
+/// quantile-sketch fold to the same ≤ 5% bar. A fifth leg re-runs the
+/// checkpointed grid through `run_sweep_guarded` with a never-firing fault
+/// plan armed, holding the fault-isolation layer's guard overhead to the
+/// same ≤ 5% bar.
 fn bench_sweep_throughput(c: &mut Criterion) {
     if !bench_enabled("sweep_throughput") {
         return;
     }
     let sweep = SweepSpec::from_str(ACCEPTANCE_GRID).expect("spec parses");
     let cells = sweep.grid_size();
-    // Workload identity comes from the parsed spec, so an edited grid
-    // can never be recorded under stale numbers.
-    let (grid_jobs, grid_seed) = (sweep.base.jobs, sweep.base.seed);
 
     let mut g = c.benchmark_group("sweep_throughput");
     g.bench_function("policy_x_ckpt_cost_24cells", |b| {
@@ -382,17 +348,13 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     });
     g.finish();
 
-    // Recorded measurement: best-of-5 wall for the whole grid, plus the
-    // hazard-robustness experiment end to end. `BENCH_sweep.json` is only
-    // (re)written when CKPT_SWEEP_BENCH_RECORD=1 — the checked-in file is
-    // a point-in-time record on one machine, and a casual `cargo bench` on
-    // another machine must not silently clobber it.
-    let record = std::env::var("CKPT_SWEEP_BENCH_RECORD").is_ok_and(|v| v == "1");
-    // One unmeasured warmup run first: the opening iteration pays one-off
-    // costs (directory creation for the checkpoint store, cold allocator
-    // arenas, page cache) that belong to setup, not the steady-state
-    // throughput the bars are written against. Without it the checkpointed
-    // leg's first run once dragged the record over its 5% bar.
+    // Timed legs: best-of-5 wall for the whole grid, plus the
+    // hazard-robustness experiment end to end. One unmeasured warmup run
+    // first: the opening iteration pays one-off costs (directory creation
+    // for the checkpoint store, cold allocator arenas, page cache) that
+    // belong to setup, not the steady-state throughput the bars are
+    // written against. Without it the checkpointed leg's first run once
+    // dragged it over its 5% bar.
     let best_of = |runs: usize, f: &dyn Fn()| -> f64 {
         f();
         let mut best = f64::INFINITY;
@@ -427,7 +389,6 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         assert_eq!(r.cells.len(), cells);
     });
     std::fs::remove_dir_all(&ckpt_dir).ok();
-    let ckpt_cells_per_sec = cells as f64 / ckpt_wall;
     let ckpt_overhead_pct = (ckpt_wall / sweep_wall - 1.0) * 100.0;
 
     // The same checkpointed grid through the fault-isolation layer with a
@@ -461,7 +422,6 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         assert!(!r.health.degraded());
     });
     std::fs::remove_dir_all(&fault_dir).ok();
-    let fault_cells_per_sec = cells as f64 / fault_wall;
     let fault_overhead_pct = (fault_wall / ckpt_wall - 1.0) * 100.0;
 
     // The same grid in streaming-metrics mode versus its full-mode twin,
@@ -481,13 +441,11 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         let r = run_sweep(&streaming, SweepOptions::default()).unwrap();
         assert_eq!(r.cells.len(), cells);
     });
-    let stream_cells_per_sec = cells as f64 / stream_wall;
     let stream_overhead_pct = (stream_wall / full_all_wall - 1.0) * 100.0;
 
     // The bars are acceptance criteria, not commentary: a breach fails the
-    // bench loudly instead of quietly recording a number that reads as a
-    // regression. (Checked on every run; a recording run must never
-    // persist a breach.)
+    // bench loudly instead of quietly printing a number that reads as a
+    // regression.
     for (leg, overhead_pct, bar_pct) in [
         ("checkpointed", ckpt_overhead_pct, 5.0),
         ("fault_layer", fault_overhead_pct, 5.0),
@@ -517,31 +475,13 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         hazard.run(&ctx).expect("hazard experiment runs");
     });
 
-    let json = format!(
-        "{{\n  \"bench\": \"sweep_throughput\",\n  \"grid\": {{\n    \"spec\": \"specs/policy_x_ckpt_cost.toml\",\n    \"cells\": {cells},\n    \"jobs\": {grid_jobs},\n    \"seed\": {grid_seed}\n  }},\n  \"engine\": {{\n    \"wall_s\": {sweep_wall:.4},\n    \"cells_per_sec\": {cells_per_sec:.1}\n  }},\n  \"checkpointed\": {{\n    \"wall_s\": {ckpt_wall:.4},\n    \"cells_per_sec\": {ckpt_cells_per_sec:.1},\n    \"overhead_pct\": {ckpt_overhead_pct:.2},\n    \"note\": \"same grid with --checkpoint-dir persistence on (store recreated per run); bar is <= 5% cells/sec regression\"\n  }},\n  \"fault_layer\": {{\n    \"wall_s\": {fault_wall:.4},\n    \"cells_per_sec\": {fault_cells_per_sec:.1},\n    \"overhead_pct\": {fault_overhead_pct:.2},\n    \"note\": \"same checkpointed grid through run_sweep_guarded with a parsed-but-never-firing --inject plan armed (catch_unwind + fault lookups on every cell); bar is <= 5% cells/sec regression vs the checkpointed leg\"\n  }},\n  \"streaming\": {{\n    \"wall_s\": {stream_wall:.4},\n    \"cells_per_sec\": {stream_cells_per_sec:.1},\n    \"full_mode_wall_s\": {full_all_wall:.4},\n    \"overhead_pct\": {stream_overhead_pct:.2},\n    \"note\": \"same grid at metrics=streaming vs its full-mode twin, both at sample=all; sketch-backed p50/p99, bar is <= 5% cells/sec regression\"\n  }},\n  \"counters\": {{\n    \"cells_evaluated\": {},\n    \"jobs_replayed\": {},\n    \"tasks_replayed\": {},\n    \"checkpoints_written\": {},\n    \"plan_lookups\": {},\n    \"arena_hits\": {}\n  }},\n  \"ext_hazard_robustness\": {{\n    \"wall_s\": {hazard_wall:.4}\n  }}\n}}\n",
-        counters.get(Counter::CellsEvaluated),
-        counters.get(Counter::JobsReplayed),
-        counters.get(Counter::TasksReplayed),
-        counters.get(Counter::CheckpointsWritten),
-        counters.get(Counter::PlanLookups),
-        counters.get(Counter::ArenaHits),
-    );
-    if record {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-        std::fs::write(path, &json).expect("write BENCH_sweep.json");
-    }
     println!(
         "sweep_throughput: {cells} cells in {sweep_wall:.4}s ({cells_per_sec:.1} cells/s); \
          checkpointed {ckpt_wall:.4}s \
          ({ckpt_overhead_pct:+.2}% overhead); fault layer {fault_wall:.4}s \
          ({fault_overhead_pct:+.2}% vs checkpointed); streaming {stream_wall:.4}s \
          ({stream_overhead_pct:+.2}% vs full at sample=all); \
-         ext_hazard_robustness {hazard_wall:.4}s{}",
-        if record {
-            " — BENCH_sweep.json updated"
-        } else {
-            " — set CKPT_SWEEP_BENCH_RECORD=1 to re-record BENCH_sweep.json"
-        }
+         ext_hazard_robustness {hazard_wall:.4}s"
     );
 }
 
