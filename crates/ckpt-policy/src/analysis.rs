@@ -1,7 +1,7 @@
-//! Analytical tooling around Formula (4): expected-cost curves, the penalty
-//! of mis-estimated inputs, and the robustness comparison behind the
-//! paper's §5.2 discussion ("Young's formula is not proper ... due to its
-//! assumption" / "MNOF ... would not change a lot").
+//! Analytical tooling around Formula (4): the penalty of mis-estimated
+//! inputs, and the robustness comparison behind the paper's §5.2
+//! discussion ("Young's formula is not proper ... due to its assumption" /
+//! "MNOF ... would not change a lot").
 //!
 //! The central quantity is the **penalty factor**: expected fault-tolerance
 //! overhead under a mis-calibrated interval count, relative to the optimal
@@ -13,28 +13,6 @@
 
 use crate::optimal::{expected_wall_clock, optimal_interval_count};
 use crate::{PolicyError, Result};
-
-/// One point of an expected-wall-clock curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// Interval count.
-    pub x: u32,
-    /// Expected wall-clock (Formula (4)).
-    pub expected_wall_clock: f64,
-}
-
-/// The expected-wall-clock curve `E(Tw)(x)` for `x ∈ [1, x_max]` — what the
-/// paper's Figure-3-style intuition plots.
-pub fn wall_clock_curve(te: f64, c: f64, r: f64, e_y: f64, x_max: u32) -> Result<Vec<CurvePoint>> {
-    (1..=x_max.max(1))
-        .map(|x| {
-            expected_wall_clock(te, c, r, e_y, x).map(|w| CurvePoint {
-                x,
-                expected_wall_clock: w,
-            })
-        })
-        .collect()
-}
 
 /// The idealized overhead penalty of running at `k · x*` instead of `x*`:
 /// `(k + 1/k) / 2` (continuous approximation; exact as `Te → ∞`).
@@ -185,27 +163,22 @@ mod tests {
 
     #[test]
     fn curve_is_convex_with_minimum_at_xstar() {
-        let curve = wall_clock_curve(441.0, 1.0, 0.0, 2.0, 60).unwrap();
-        let min = curve
+        // Formula (4)'s E(Tw) over x = 1..=60.
+        let curve: Vec<(u32, f64)> = (1..=60)
+            .map(|x| (x, expected_wall_clock(441.0, 1.0, 0.0, 2.0, x).unwrap()))
+            .collect();
+        let (x_min, _) = curve
             .iter()
-            .min_by(|a, b| {
-                a.expected_wall_clock
-                    .partial_cmp(&b.expected_wall_clock)
-                    .unwrap()
-            })
+            .copied()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        assert_eq!(min.x, 21); // sqrt(441·2/2) = 21
-                               // Discrete convexity: differences change sign exactly once.
-        let mut sign_changes = 0;
+        // x* = sqrt(441·2/2) = 21.
+        assert_eq!(x_min, 21);
+        // Discrete convexity: the curve falls to the minimum, then rises.
         for w in curve.windows(2) {
-            let d = w[1].expected_wall_clock - w[0].expected_wall_clock;
-            if d > 0.0 && w[0].x >= min.x {
-                // rising after the min: fine
-            } else if d > 0.0 && w[0].x < min.x {
-                sign_changes += 1;
-            }
+            let rising = w[1].1 > w[0].1;
+            assert_eq!(rising, w[0].0 >= x_min, "curve must fall then rise");
         }
-        assert_eq!(sign_changes, 0, "curve must fall then rise");
     }
 
     #[test]

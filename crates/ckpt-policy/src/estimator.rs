@@ -45,20 +45,6 @@ pub struct Estimate {
     pub mean_length: f64,
 }
 
-impl Estimate {
-    /// Scale the group MNOF to a specific task length, assuming failures
-    /// accrue proportionally to execution time (the paper's `E_k(Y)`
-    /// proportionality). Falls back to the raw MNOF if the group's mean
-    /// length is degenerate.
-    pub fn mnof_for_length(&self, te: f64) -> f64 {
-        if self.mean_length > 0.0 && te > 0.0 {
-            self.mnof * te / self.mean_length
-        } else {
-            self.mnof
-        }
-    }
-}
-
 /// Estimator that groups task histories by priority and an optional task
 /// length limit (the paper's Table 7 crosses priorities with limits
 /// 1000 s / 3600 s / ∞).
@@ -260,19 +246,6 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].0, 1);
         assert_eq!(rows[2].0, 2);
-    }
-
-    #[test]
-    fn mnof_length_scaling() {
-        let e = Estimate {
-            mnof: 2.0,
-            mtbf: 100.0,
-            n_tasks: 10,
-            n_intervals: 20,
-            mean_length: 400.0,
-        };
-        assert!((e.mnof_for_length(200.0) - 1.0).abs() < 1e-12);
-        assert!((e.mnof_for_length(800.0) - 4.0).abs() < 1e-12);
     }
 
     #[test]

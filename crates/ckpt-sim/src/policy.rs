@@ -167,12 +167,6 @@ impl PolicyConfig {
         self.cost = cost;
         self
     }
-
-    /// Builder-style: scale the per-checkpoint cost (a common sweep axis).
-    pub fn with_ckpt_cost_scale(mut self, scale: f64) -> Self {
-        self.cost.ckpt_scale = scale;
-        self
-    }
 }
 
 /// Precomputed estimates a run draws from: group statistics plus the
@@ -548,7 +542,10 @@ mod tests {
         let base_cfg = PolicyConfig::formula3().with_storage(StorageChoice::Force(Device::Ramdisk));
         let base = plan_task(&base_cfg, &blcr, &est, task, job.priority);
 
-        let scaled_cfg = base_cfg.with_ckpt_cost_scale(3.0);
+        let scaled_cfg = base_cfg.with_cost(CostTweak {
+            ckpt_scale: 3.0,
+            ..CostTweak::identity()
+        });
         let scaled = plan_task(&scaled_cfg, &blcr, &est, task, job.priority);
         assert!((scaled.ckpt_cost - 3.0 * base.ckpt_cost).abs() < 1e-12);
         // Pricier checkpoints ⇒ weakly fewer planned intervals (Theorem 1).

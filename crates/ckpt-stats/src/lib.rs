@@ -20,17 +20,16 @@
 //!   (Kolmogorov–Smirnov statistic, log-likelihood, AIC). This regenerates the
 //!   paper's Figure 5 analysis ("Pareto fits all intervals best; exponential
 //!   fits the ≤1000 s body best").
-//! * **Empirical machinery** ([`ecdf`], [`histogram`], [`summary`]) —
-//!   empirical CDFs and quantiles (every CDF plot in the paper), histograms,
-//!   and numerically stable online moments.
+//! * **Empirical machinery** ([`ecdf`], [`summary`]) — empirical CDFs and
+//!   quantiles (every CDF plot in the paper) and numerically stable online
+//!   moments.
 //! * **Quantile sketch** ([`sketch`]) — a deterministic mergeable
 //!   log-spaced histogram with exact rank selection and a documented
 //!   relative value-error bound, so streaming sweeps can export p50/p99
 //!   that are bit-identical at any thread count.
-//! * **Mixtures** ([`mixture`]) — two-component mixtures used by the trace
-//!   generator to reproduce the paper's observation that failure intervals
-//!   have a short-interval body (63 % below 1000 s) and a Pareto tail that
-//!   inflates the MTBF.
+//! * **Resampling and numerics** ([`bootstrap`], [`solve`]) — bootstrap
+//!   confidence intervals for the WPR comparisons, and the root finders and
+//!   special functions behind the fitters and quantile functions.
 //!
 //! ## Quick example
 //!
@@ -56,8 +55,6 @@ pub mod bootstrap;
 pub mod dist;
 pub mod ecdf;
 pub mod fit;
-pub mod histogram;
-pub mod mixture;
 pub mod rng;
 pub mod sketch;
 pub mod solve;

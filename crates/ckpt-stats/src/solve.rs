@@ -1,6 +1,6 @@
 //! Small numerical routines used by the MLE fitters and quantile functions:
-//! bisection root finding, Newton–Raphson with bisection fallback, golden
-//! section minimization, and special functions (`erf`, `erfc`, `ln_gamma`).
+//! bisection root finding, Newton–Raphson with bisection fallback, and
+//! special functions (`erf`, `erfc`, `ln_gamma`).
 
 use crate::{Result, StatsError};
 
@@ -96,40 +96,6 @@ pub fn newton_bisect<F: Fn(f64) -> (f64, f64)>(
         x = x_new;
     }
     Err(StatsError::NoConvergence("newton_bisect"))
-}
-
-/// Golden-section search for the minimum of a unimodal `f` on `[lo, hi]`.
-pub fn golden_min<F: Fn(f64) -> f64>(
-    f: F,
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-    max_iter: usize,
-) -> f64 {
-    const INV_PHI: f64 = 0.618_033_988_749_894_9; // (sqrt(5) - 1) / 2
-    let mut c = hi - INV_PHI * (hi - lo);
-    let mut d = lo + INV_PHI * (hi - lo);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    for _ in 0..max_iter {
-        if (hi - lo).abs() < tol {
-            break;
-        }
-        if fc < fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - INV_PHI * (hi - lo);
-            fc = f(c);
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + INV_PHI * (hi - lo);
-            fd = f(d);
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 /// The error function `erf(x)`, accurate to ~1.2e-7 (Numerical Recipes'
@@ -361,12 +327,6 @@ mod tests {
         let f = |x: f64| (x * x * x - 1e-9, 3.0 * x * x);
         let r = newton_bisect(f, -1.0, 1.0, 0.0, 1e-14, 200).unwrap();
         assert!((r - 1e-3).abs() < 1e-5);
-    }
-
-    #[test]
-    fn golden_min_parabola() {
-        let m = golden_min(|x| (x - 3.5) * (x - 3.5), 0.0, 10.0, 1e-10, 200);
-        assert!((m - 3.5).abs() < 1e-8);
     }
 
     #[test]
