@@ -7,17 +7,19 @@
 //!   grid whose summaries all have count 1, and a degraded run with a
 //!   `status` column; both also check that the streamed exports equal
 //!   the owned frame's renderings.
-//! * With telemetry **on**, cell results are identical to the plain run,
-//!   and the deterministic counter frame is byte-identical across thread
-//!   counts on both stress specs (the cluster DES and the fast replay
-//!   paths both count simulation facts, never scheduling facts).
+//! * With telemetry **on**, cell results are identical to the plain run
+//!   (full and streaming metrics), and the deterministic counter frame is
+//!   byte-identical across thread counts on both stress specs (the
+//!   cluster DES and the fast replay paths both count simulation facts,
+//!   never scheduling facts).
 
 use ckpt_faults::{FaultPlan, FaultState, TestClock};
 use ckpt_obs::{Counter, Observer, Telemetry};
 use ckpt_report::{counters_frame, RunContext, Scale};
+use ckpt_scenario::spec::MetricsChoice;
 use ckpt_scenario::{
     csv_string, json_string, run_sweep, run_sweep_guarded, run_sweep_telemetry, to_frame,
-    FaultPolicy, SweepOptions, SweepResult, SweepSpec,
+    FaultPolicy, SampleFilter, SweepOptions, SweepResult, SweepSpec,
 };
 use std::sync::Arc;
 
@@ -135,25 +137,38 @@ fn degraded_sweep_exports_match_pinned_digests() {
 }
 
 /// Attaching telemetry must not change a single cell: same metrics, same
-/// params, same order.
+/// params, same order — on the acceptance grid and on its streaming twin
+/// (`sample = "all"`, `metrics = "streaming"`). Both grids run the same
+/// 24 replays and only fold them differently, so they count the same.
 #[test]
 fn telemetry_does_not_change_sweep_results() {
     let sweep = load("specs/policy_x_ckpt_cost.toml");
-    let plain = run_sweep(&sweep, SweepOptions { threads: 2 }).expect("plain sweep");
-    let telemetry = Telemetry::new();
-    let observed = run_sweep_telemetry(&sweep, SweepOptions { threads: 2 }, Some(&telemetry))
-        .expect("observed sweep");
-    assert_eq!(plain.cells, observed.cells);
-    // And the observed run actually counted.
-    let counters = telemetry.counters.snapshot();
+    let mut streaming = sweep.clone();
+    streaming.base.sample = SampleFilter::All;
+    streaming.base.metrics = MetricsChoice::Streaming;
+    let mut snapshots = Vec::new();
+    for sweep in [&sweep, &streaming] {
+        let plain = run_sweep(sweep, SweepOptions { threads: 2 }).expect("plain sweep");
+        let telemetry = Telemetry::new();
+        let observed = run_sweep_telemetry(sweep, SweepOptions { threads: 2 }, Some(&telemetry))
+            .expect("observed sweep");
+        assert_eq!(plain.cells, observed.cells, "{:?}", sweep.base.metrics);
+        // And the observed run actually counted.
+        let counters = telemetry.counters.snapshot();
+        assert_eq!(
+            counters.get(Counter::CellsEvaluated),
+            plain.cells.len() as u64
+        );
+        assert!(counters.get(Counter::TasksReplayed) > 0);
+        counters
+            .verify_invariants(true)
+            .expect("counter identities");
+        snapshots.push(counters);
+    }
     assert_eq!(
-        counters.get(Counter::CellsEvaluated),
-        plain.cells.len() as u64
+        snapshots[0], snapshots[1],
+        "the streaming twin must count the same replays as the full grid"
     );
-    assert!(counters.get(Counter::TasksReplayed) > 0);
-    counters
-        .verify_invariants(true)
-        .expect("counter identities");
 }
 
 /// Counter frame for one stress spec at quick scale under `threads`.
