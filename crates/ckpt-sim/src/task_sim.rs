@@ -23,8 +23,9 @@
 //! engine ([`crate::cluster`]) implements the same per-task semantics as
 //! discrete events so that scheduling, storage contention, and host
 //! failures can interleave between tasks; the two paths share
-//! [`TaskOutcome`] and are validated against each other by the
-//! `cluster_validation` experiment.
+//! [`TaskOutcome`]. The `cluster_validation` experiment compares only the
+//! policy orderings the two engines produce: nothing yet checks that they
+//! give the same outcome for the same task.
 
 use crate::controller::{Controller, Schedule};
 use ckpt_stats::rng::Rng64;
