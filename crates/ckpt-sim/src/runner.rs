@@ -18,7 +18,7 @@
 //! compiled in this crate, because the entry itself is not generic — a
 //! generic entry would be compiled again inside every calling crate.
 //! [`run_trace`], [`run_trace_with_plans`], [`run_trace_counted`] and
-//! [`run_trace_stream`] are one-line forms of it.
+//! [`run_trace_stream`] are one-call forms of it.
 //!
 //! ## The fast-path memory model
 //!
