@@ -3,10 +3,13 @@
 //! orderings — across crate boundaries, the way a downstream user would
 //! drive the library.
 
+use cloud_ckpt::sim::cluster::{ClusterConfig, ClusterSim};
 use cloud_ckpt::sim::metrics::{mean_wpr, with_structure, wpr_by_priority};
-use cloud_ckpt::sim::policy::{Estimates, EstimatorKind, PolicyConfig};
-use cloud_ckpt::sim::runner::{run_trace, RunOptions};
+use cloud_ckpt::sim::policy::{Estimates, EstimatorKind, PolicyConfig, StorageChoice};
+use cloud_ckpt::sim::runner::{run_trace, run_trace_with_plans, RunOptions};
+use cloud_ckpt::sim::Device;
 use cloud_ckpt::trace::gen::{generate, JobStructure};
+use cloud_ckpt::trace::plan::FailurePlanArena;
 use cloud_ckpt::trace::spec::WorkloadSpec;
 use cloud_ckpt::trace::stats::{failure_prone_jobs, trace_histories};
 use std::collections::HashSet;
@@ -195,5 +198,71 @@ fn common_random_numbers_make_comparisons_paired() {
             a.job_id
         );
         assert_eq!(a.total_work, b.total_work);
+    }
+}
+
+#[test]
+fn fast_path_and_cluster_des_agree_per_job() {
+    // Both engines run the paper's per-task model: a kill rolls back to
+    // the last durable checkpoint and pays R, a kill mid-write aborts the
+    // write, wall = productive + checkpoint + rollback + restart. On a
+    // fleet where nothing queues (more VM slots than tasks, unbounded
+    // memory, no host failures, fixed-cost ramdisk writes) the DES must
+    // give every job the fast path's outcome. Counts and the summed `R`
+    // values are exact; each DES phase rounds one duration to whole
+    // microseconds, so wall, rollback and checkpoint time may drift by
+    // 2 µs per transition (task, failure or checkpoint).
+    let fleet = ClusterConfig {
+        n_hosts: 256,
+        vms_per_host: 64,
+        host_mem_mb: 1e12,
+        host_mtbf_s: None,
+        ..ClusterConfig::default()
+    };
+    for seed in [7, 20130217] {
+        let mut spec = WorkloadSpec::google_like(600);
+        spec.long_task_fraction = 0.0;
+        let trace = generate(&spec, seed).expect("valid workload spec");
+        // Priority flips exist only in the fast path.
+        assert!(trace.jobs.iter().all(|j| j.flip.is_none()));
+        assert!(trace.task_count() <= fleet.n_hosts * fleet.vms_per_host);
+        let estimates = Estimates::from_records(&trace_histories(&trace));
+        let plans = FailurePlanArena::build(&trace);
+        for (name, policy) in [
+            ("formula3", PolicyConfig::formula3()),
+            ("young", PolicyConfig::young()),
+            ("daly", PolicyConfig::daly()),
+            ("none", PolicyConfig::none()),
+            ("adaptive", PolicyConfig::formula3().with_adaptivity(true)),
+        ] {
+            let policy = policy.with_storage(StorageChoice::Force(Device::Ramdisk));
+            let fast =
+                run_trace_with_plans(&trace, &estimates, &policy, RunOptions::default(), &plans);
+            let des = ClusterSim::with_plans(fleet, &trace, &estimates, policy, &plans).run();
+            assert_eq!(des.tasks_done, trace.task_count());
+            assert_eq!(fast.len(), des.jobs.len());
+            for ((job, f), d) in trace.jobs.iter().zip(&fast).zip(&des.jobs) {
+                let d_base = &d.base;
+                let at = format!("seed {seed}, {name}, job {}", f.job_id);
+                assert_eq!(f.job_id, d_base.job_id, "{at}");
+                assert_eq!(f.failures, d_base.failures, "{at}: failures");
+                assert_eq!(f.checkpoints, d_base.checkpoints, "{at}: checkpoints");
+                assert_eq!(f.total_work, d_base.total_work, "{at}: total_work");
+                assert_eq!(f.restart_time, d_base.restart_time, "{at}: restart_time");
+                assert_eq!(d.queue_wait, 0.0, "{at}: queue_wait");
+                let transitions = job.tasks.len() as f64 + f.failures as f64 + f.checkpoints as f64;
+                let bound = 2e-6 * transitions;
+                for (field, a, b) in [
+                    ("total_wall", f.total_wall, d_base.total_wall),
+                    ("rollback_loss", f.rollback_loss, d_base.rollback_loss),
+                    ("checkpoint_time", f.checkpoint_time, d_base.checkpoint_time),
+                ] {
+                    assert!(
+                        (a - b).abs() <= bound,
+                        "{at}: {field} fast {a} vs DES {b} (bound {bound})"
+                    );
+                }
+            }
+        }
     }
 }
