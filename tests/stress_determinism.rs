@@ -1,7 +1,9 @@
 //! Determinism guards for the stress tier: the two stress specs
 //! (`specs/stress_fleet.toml`, `specs/stress_long_tasks.toml`) must render
-//! byte-identical frames for the same seed regardless of thread count, and
-//! the `stress` scale must resolve everywhere a scale can be named.
+//! byte-identical frames for the same seed regardless of thread count, the
+//! 1-thread frames (unsharded and at 4 shards) are pinned by FNV-1a
+//! digests, and the `stress` scale must resolve everywhere a scale can be
+//! named.
 //!
 //! CI-sized: the specs run under a `quick`-scale context (the cell count
 //! is what matters — each spec's full grid executes — not the job count);
@@ -10,6 +12,32 @@
 use ckpt_report::{RunContext, Scale};
 use ckpt_scenario::spec::MetricsChoice;
 use ckpt_scenario::{run_sweep_ctx, to_frame, SampleFilter, SweepSpec};
+
+/// FNV-1a 64 over rendered bytes, the digest `tests/telemetry.rs` pins
+/// exports with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Pin a spec's 1-thread frames across commits. Thread invariance alone
+/// passes a change that moves every byte of the stress shape (host
+/// failures, saturated queues, DM-NFS, hundreds of checkpoints per long
+/// task), which the 60-job golden DES digests never reach.
+fn assert_frames_pinned(label: &str, csv: &str, json: &str, pinned: (u64, u64)) {
+    let got = (fnv1a(csv.as_bytes()), fnv1a(json.as_bytes()));
+    assert!(
+        got == pinned,
+        "{label}: CSV/JSON digests {:#018x}/{:#018x} drifted from the pinned {:#018x}/{:#018x}",
+        got.0,
+        got.1,
+        pinned.0,
+        pinned.1
+    );
+}
 
 fn spec_frames(path: &str, threads: usize) -> (String, String) {
     sharded_spec_frames(path, threads, 1)
@@ -32,8 +60,9 @@ fn sharded_spec_frames(path: &str, threads: usize, shards: usize) -> (String, St
 /// Sharded replays are part of the replay identity, not an execution
 /// detail: a fixed shard count must render byte-identical frames at any
 /// thread count, and a different shard count must render different ones.
-fn assert_sharded_frames_thread_invariant(path: &str) {
+fn assert_sharded_frames_thread_invariant(path: &str, pinned: (u64, u64)) {
     let (csv1, json1) = sharded_spec_frames(path, 1, 4);
+    assert_frames_pinned(&format!("{path} at 4 shards"), &csv1, &json1, pinned);
     for threads in [4, 8] {
         let (csv_t, json_t) = sharded_spec_frames(path, threads, 4);
         assert_eq!(
@@ -131,6 +160,12 @@ fn stress_fleet_frames_are_thread_invariant() {
     let (csv4, json4) = spec_frames("specs/stress_fleet.toml", 4);
     assert_eq!(csv1, csv4, "stress_fleet CSV must not depend on threads");
     assert_eq!(json1, json4, "stress_fleet JSON must not depend on threads");
+    assert_frames_pinned(
+        "stress_fleet",
+        &csv1,
+        &json1,
+        (0x5f1e_0b13_bfbd_a1b7, 0xd37b_ca4c_23dc_b4aa),
+    );
     // The cluster engine's cells carry the deterministic DES event count.
     assert!(csv1.lines().any(|l| l.contains(",events,")), "{csv1}");
 }
@@ -141,6 +176,12 @@ fn stress_long_tasks_frames_are_thread_invariant() {
     let (csv4, json4) = spec_frames("specs/stress_long_tasks.toml", 4);
     assert_eq!(csv1, csv4);
     assert_eq!(json1, json4);
+    assert_frames_pinned(
+        "stress_long_tasks",
+        &csv1,
+        &json1,
+        (0xd04c_9f05_a4be_1589, 0x4de9_a0f3_e79e_7eae),
+    );
     // Long-task cells really are long-task cells: mean wall is far beyond
     // the calibrated default workload's minutes-long tasks.
     let wall_row = csv1
@@ -156,12 +197,18 @@ fn stress_long_tasks_frames_are_thread_invariant() {
 
 #[test]
 fn stress_fleet_sharded_frames_are_thread_invariant() {
-    assert_sharded_frames_thread_invariant("specs/stress_fleet.toml");
+    assert_sharded_frames_thread_invariant(
+        "specs/stress_fleet.toml",
+        (0x32ae_36f9_bac1_9844, 0x8db9_63d2_012e_ab1d),
+    );
 }
 
 #[test]
 fn stress_long_tasks_sharded_frames_are_thread_invariant() {
-    assert_sharded_frames_thread_invariant("specs/stress_long_tasks.toml");
+    assert_sharded_frames_thread_invariant(
+        "specs/stress_long_tasks.toml",
+        (0x12ea_6d4b_0b04_6744, 0x4390_1167_f8a8_e563),
+    );
 }
 
 #[test]
