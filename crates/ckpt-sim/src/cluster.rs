@@ -60,12 +60,11 @@
 //! server picks) comes from one stream consumed in event order.
 
 use crate::blcr::{BlcrModel, Device};
-use crate::controller::Schedule;
 use crate::event::FastQueue;
 use crate::metrics::{JobRecord, StreamStats};
 use crate::policy::{plan_task, Estimates, PolicyConfig};
 use crate::storage::{OpId, PsResource};
-use crate::task_sim::TaskOutcome;
+use crate::task_sim::{next_checkpoint_in, TaskOutcome};
 use crate::task_store::{TaskState, TaskStore, NO_HOST, NO_TASK};
 use crate::time::{SimDuration, SimTime};
 use ckpt_obs::{Counter, NoObs, Observer};
@@ -628,29 +627,10 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         let te = self.store.te[ti];
         self.store.run_base[ti] = durable;
         self.store.phase_start[ti] = now;
-        let next_ckpt = self.store.controller[ti]
-            .next_checkpoint()
-            .filter(|&p| p > durable && p < te);
-        let target = next_ckpt.unwrap_or(te);
+        let target = next_checkpoint_in(&self.store.controller[ti], durable, te).unwrap_or(te);
         let run_needed = (target - durable).max(0.0);
         let milestone_at = now + SimDuration::from_secs_f64(run_needed);
-        if let Some(kill) = self.store.next_kill(ti) {
-            let fail_at = now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
-            // A kill beyond this phase's end can never fire here — the
-            // milestone transition would make it stale. Skip it; the next
-            // phase re-schedules against the same kill.
-            if fail_at <= milestone_at {
-                self.schedule_ev(
-                    fail_at,
-                    Ev::Failure {
-                        task: ti as u32,
-                        epoch,
-                    },
-                );
-            } else {
-                self.count_stale_skip();
-            }
-        }
+        self.arm_kill(ti, epoch, Some(milestone_at));
         self.schedule_ev(
             milestone_at,
             Ev::Milestone {
@@ -658,6 +638,30 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 epoch,
             },
         );
+    }
+
+    /// Arm the task's next planned kill for the phase it entered now under
+    /// `epoch`. A kill beyond the phase's known end (`ends_at`) can never
+    /// fire in it — the phase's own transition would make it stale — so it
+    /// is skipped, and the next phase arms the same kill again. A kill at
+    /// exactly `ends_at` is armed; scheduled before the phase's end event,
+    /// it pops first and wins the tie.
+    fn arm_kill(&mut self, ti: usize, epoch: u32, ends_at: Option<SimTime>) {
+        let Some(kill) = self.store.next_kill(ti) else {
+            return;
+        };
+        let fail_at = self.now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
+        if ends_at.is_some_and(|end| fail_at > end) {
+            self.count_stale_skip();
+        } else {
+            self.schedule_ev(
+                fail_at,
+                Ev::Failure {
+                    task: ti as u32,
+                    epoch,
+                },
+            );
+        }
     }
 
     /// Release the task's host resources.
@@ -683,19 +687,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     fn on_failure(&mut self, ti: usize, from_plan: bool) {
         let now = self.now;
         self.obs.tick(Counter::TaskKills);
-        // Abort any in-flight storage op.
-        let had_storage_op = if let Some((server, op, started)) = self.store.storage_op[ti].take() {
-            let server = server as usize;
-            self.storage[server].remove(now, op);
-            self.storage_ops.remove(&op.0);
-            self.reschedule_storage(server);
-            self.store.outcome[ti].aborted_checkpoints += 1;
-            self.obs.tick(Counter::CheckpointsAborted);
-            self.store.outcome[ti].checkpoint_time += (now - started).as_secs_f64();
-            true
-        } else {
-            false
-        };
         let elapsed = (now - self.store.phase_start[ti]).as_secs_f64();
         self.store.busy[ti] += elapsed;
         if from_plan {
@@ -704,23 +695,29 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         let run_base = self.store.run_base[ti];
         let live = match self.store.state[ti] {
             TaskState::Running => run_base + elapsed,
-            // During a write the partial write time is busy but not
-            // progress; progress is frozen at run_base. (Shared-disk writes
-            // were already accounted in the storage-op branch above.)
+            // The kill aborts the write: the partial write is busy time
+            // but not progress, which stays frozen at run_base. A
+            // shared-disk write (the only kind with a storage op) ran for
+            // its op's elapsed time.
             TaskState::Checkpointing => {
-                if !had_storage_op {
-                    self.store.outcome[ti].checkpoint_time += elapsed;
-                    self.store.outcome[ti].aborted_checkpoints += 1;
-                    self.obs.tick(Counter::CheckpointsAborted);
-                }
+                let partial = match self.store.storage_op[ti].take() {
+                    Some((server, op, started)) => {
+                        let server = server as usize;
+                        self.storage[server].remove(now, op);
+                        self.storage_ops.remove(&op.0);
+                        self.reschedule_storage(server);
+                        (now - started).as_secs_f64()
+                    }
+                    None => elapsed,
+                };
+                self.store.outcome[ti].abort_checkpoint(partial);
+                self.obs.tick(Counter::CheckpointsAborted);
                 run_base
             }
             _ => run_base,
         };
         let durable = self.store.durable[ti];
-        self.store.outcome[ti].failures += 1;
-        self.store.outcome[ti].rollback_loss += (live - durable).max(0.0);
-        self.store.controller[ti].on_rollback(durable);
+        self.store.outcome[ti].roll_back(live, durable, &mut self.store.controller[ti]);
         self.store.state[ti] = TaskState::Queued;
         self.store.bump_epoch(ti);
         self.store.ready_at[ti] = now;
@@ -735,10 +732,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         self.store.busy[ti] += (now - self.store.phase_start[ti]).as_secs_f64();
         let durable = self.store.durable[ti];
         let te = self.store.te[ti];
-        let next_ckpt = self.store.controller[ti]
-            .next_checkpoint()
-            .filter(|&p| p > durable && p < te);
-        let Some(target) = next_ckpt else {
+        let Some(target) = next_checkpoint_in(&self.store.controller[ti], durable, te) else {
             self.complete_task(ti);
             return;
         };
@@ -755,24 +749,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         match server_pick {
             None => {
                 let when = now + SimDuration::from_secs_f64(self.store.ckpt_cost[ti]);
-                if let Some(kill) = self.store.next_kill(ti) {
-                    let fail_at =
-                        now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
-                    // Fixed-duration write: a kill beyond its completion
-                    // would arrive stale — skip it (ties keep the kill,
-                    // which was always scheduled first).
-                    if fail_at <= when {
-                        self.schedule_ev(
-                            fail_at,
-                            Ev::Failure {
-                                task: ti as u32,
-                                epoch,
-                            },
-                        );
-                    } else {
-                        self.count_stale_skip();
-                    }
-                }
+                self.arm_kill(ti, epoch, Some(when));
                 self.schedule_ev(
                     when,
                     Ev::CkptDone {
@@ -784,17 +761,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             Some(server) => {
                 // Contended write: completion time is not known up front,
                 // so the kill (if any) must always be armed.
-                if let Some(kill) = self.store.next_kill(ti) {
-                    let fail_at =
-                        now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
-                    self.schedule_ev(
-                        fail_at,
-                        Ev::Failure {
-                            task: ti as u32,
-                            epoch,
-                        },
-                    );
-                }
+                self.arm_kill(ti, epoch, None);
                 let demand = self.store.ckpt_cost[ti];
                 let op = OpId(self.next_op_id);
                 self.next_op_id += 1;
@@ -824,12 +791,10 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     fn finish_checkpoint(&mut self, ti: usize, duration: f64) {
         let now = self.now;
         self.store.busy[ti] += (now - self.store.phase_start[ti]).as_secs_f64();
-        self.store.outcome[ti].checkpoint_time += duration;
-        self.store.outcome[ti].checkpoints += 1;
         self.obs.tick(Counter::CheckpointsWritten);
         let pos = self.store.run_base[ti];
         self.store.durable[ti] = pos;
-        self.store.controller[ti].on_checkpoint_complete(pos);
+        self.store.outcome[ti].complete_checkpoint(pos, duration, &mut self.store.controller[ti]);
         self.ckpt_stats.add(duration);
         self.ckpt_sketch.add(duration);
         if self.metrics_mode == MetricsMode::Full {

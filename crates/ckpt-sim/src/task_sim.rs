@@ -20,12 +20,25 @@
 //!
 //! This module is the *fast path*'s executor: it advances one task
 //! analytically from kill to kill with no event queue at all. The cluster
-//! engine ([`crate::cluster`]) implements the same per-task semantics as
-//! discrete events so that scheduling, storage contention, and host
-//! failures can interleave between tasks; the two paths share
-//! [`TaskOutcome`]. The `cluster_validation` experiment compares only the
-//! policy orderings the two engines produce: nothing yet checks that they
-//! give the same outcome for the same task.
+//! engine ([`crate::cluster`]) runs the same per-task model as discrete
+//! events, so that scheduling, storage contention, and host failures can
+//! interleave between tasks. Both engines call the transitions defined
+//! here: `next_checkpoint_in` picks the checkpoint a run phase heads for,
+//! and `TaskOutcome`'s `roll_back`, `abort_checkpoint` and
+//! `complete_checkpoint` account a kill, an aborted write and a completed
+//! write. Each engine keeps only its clock: `f64` busy time here,
+//! whole-microsecond `SimTime` events in the DES. The test
+//! `fast_path_and_cluster_des_agree_per_job` (`tests/end_to_end.rs`)
+//! replays one kill-plan arena through both on a fleet where nothing
+//! queues: counts and restart time agree exactly per job, and wall,
+//! rollback and checkpoint time within 2 µs per transition.
+//!
+//! The engines differ in one comparison, the tie rule. Here the tests
+//! `tf < run_needed` and `tf < ckpt_cost` are strict, so a kill exactly at
+//! a milestone or at a write's end lands in the next phase. The DES arms a
+//! kill when it falls at or before its phase's end and schedules it first,
+//! so the kill wins the tie: it kills the run, or aborts the write. In the
+//! DES such a tie needs equal whole-microsecond times.
 
 use crate::controller::{Controller, Schedule};
 use ckpt_stats::rng::Rng64;
@@ -96,6 +109,44 @@ impl TaskOutcome {
             1.0
         }
     }
+
+    /// A kill struck at progress `live`: the task rolls back to its
+    /// durable progress, losing what lies in between.
+    #[inline]
+    pub(crate) fn roll_back<S: Schedule>(&mut self, live: f64, durable: f64, sched: &mut S) {
+        self.failures += 1;
+        self.rollback_loss += (live - durable).max(0.0);
+        sched.on_rollback(durable);
+    }
+
+    /// A kill `partial` seconds into a checkpoint write aborted it; the
+    /// partial write still counts as checkpoint time.
+    #[inline]
+    pub(crate) fn abort_checkpoint(&mut self, partial: f64) {
+        self.aborted_checkpoints += 1;
+        self.checkpoint_time += partial;
+    }
+
+    /// A write that took `duration` seconds made progress `pos` durable.
+    #[inline]
+    pub(crate) fn complete_checkpoint<S: Schedule>(
+        &mut self,
+        pos: f64,
+        duration: f64,
+        sched: &mut S,
+    ) {
+        self.checkpoint_time += duration;
+        self.checkpoints += 1;
+        sched.on_checkpoint_complete(pos);
+    }
+}
+
+/// The schedule's next checkpoint if it lies strictly inside `(from, te)`:
+/// the milestone a run phase starting at progress `from` heads for, the
+/// task's end `te` otherwise.
+#[inline]
+pub(crate) fn next_checkpoint_in<S: Schedule>(sched: &S, from: f64, te: f64) -> Option<f64> {
+    sched.next_checkpoint().filter(|&p| p > from && p < te)
 }
 
 /// A reusable kill-plan buffer: the busy-time kill positions of one task,
@@ -181,8 +232,9 @@ pub fn simulate_task_queued<R: Rng64 + ?Sized>(
 }
 
 /// The task loop, written once and monomorphized per [`Schedule`]. The
-/// kill cursor and the outcome accumulators live in locals rather than
-/// behind `pending` and an output struct, so they can stay in registers.
+/// kill cursor, the clock and the outcome live in locals rather than
+/// behind `pending` and an output reference, so they can stay in
+/// registers.
 fn execute<S: Schedule, R: Rng64 + ?Sized>(
     spec: &TaskSimSpec,
     pending: &mut KillQueue,
@@ -197,14 +249,7 @@ fn execute<S: Schedule, R: Rng64 + ?Sized>(
     );
 
     let mut head = 0usize; // next kill in `pending.buf`
-    let mut wall = 0.0f64;
-    let mut failures = 0u32;
-    let mut checkpoints = 0u32;
-    let mut aborted_checkpoints = 0u32;
-    let mut rollback_loss = 0.0f64;
-    let mut checkpoint_time = 0.0f64;
-    let mut restart_time = 0.0f64;
-    let mut flipped = false;
+    let mut out = TaskOutcome::default();
     let mut busy = 0.0f64; // cumulative execution (run + checkpoint) time
     let mut durable = 0.0f64; // checkpointed progress
     let mut live = 0.0f64; // progress since start (≥ durable, volatile)
@@ -223,12 +268,7 @@ fn execute<S: Schedule, R: Rng64 + ?Sized>(
     loop {
         // Next milestone in productive progress: the nearest of the next
         // checkpoint, the flip and the task end that lies ahead.
-        let mut target = spec.te;
-        if let Some(p) = sched.next_checkpoint() {
-            if p > live && p < target {
-                target = p;
-            }
-        }
+        let mut target = next_checkpoint_in(sched, live, spec.te).unwrap_or(spec.te);
         if let Some(f) = flip {
             if f.at_progress > live && f.at_progress < target {
                 target = f.at_progress;
@@ -240,19 +280,17 @@ fn execute<S: Schedule, R: Rng64 + ?Sized>(
         if tf < run_needed {
             // Kill strikes mid-run.
             head += 1;
-            wall += tf + spec.restart_cost;
-            restart_time += spec.restart_cost;
+            out.wall += tf + spec.restart_cost;
+            out.restart_time += spec.restart_cost;
             busy += tf;
             live += tf;
-            failures += 1;
-            rollback_loss += live - durable;
+            out.roll_back(live, durable, sched);
             live = durable;
-            sched.on_rollback(durable);
             continue;
         }
 
         // Reach the milestone.
-        wall += run_needed;
+        out.wall += run_needed;
         busy += run_needed;
         live = target;
 
@@ -281,25 +319,15 @@ fn execute<S: Schedule, R: Rng64 + ?Sized>(
                 if let Some(mnof) = f.new_mnof_full {
                     sched.on_mnof_change(mnof);
                 }
-                flipped = true;
+                out.flipped = true;
                 flip = None;
                 continue;
             }
         }
 
         if live >= spec.te {
-            // Completed.
-            return TaskOutcome {
-                wall,
-                productive: spec.te,
-                failures,
-                checkpoints,
-                aborted_checkpoints,
-                rollback_loss,
-                checkpoint_time,
-                restart_time,
-                flipped,
-            };
+            out.productive = spec.te;
+            return out;
         }
 
         // The milestone is a checkpoint. The write takes `ckpt_cost` of busy
@@ -307,22 +335,17 @@ fn execute<S: Schedule, R: Rng64 + ?Sized>(
         let tf = to_fail!();
         if tf < spec.ckpt_cost {
             head += 1;
-            wall += tf + spec.restart_cost;
-            restart_time += spec.restart_cost;
-            checkpoint_time += tf; // partial write
+            out.wall += tf + spec.restart_cost;
+            out.restart_time += spec.restart_cost;
             busy += tf;
-            failures += 1;
-            aborted_checkpoints += 1;
-            rollback_loss += live - durable;
+            out.abort_checkpoint(tf);
+            out.roll_back(live, durable, sched);
             live = durable;
-            sched.on_rollback(durable);
         } else {
-            wall += spec.ckpt_cost;
-            checkpoint_time += spec.ckpt_cost;
+            out.wall += spec.ckpt_cost;
             busy += spec.ckpt_cost;
             durable = live;
-            checkpoints += 1;
-            sched.on_checkpoint_complete(durable);
+            out.complete_checkpoint(durable, spec.ckpt_cost, sched);
         }
     }
 }
