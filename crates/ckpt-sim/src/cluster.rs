@@ -308,31 +308,11 @@ impl<'a> ClusterSim<'a> {
         Self::build(cfg, trace, estimates, policy, Some(plans), CLUSTER_STREAM)
     }
 
-    /// [`ClusterSim::build`] for one shard of a sharded run: the cluster
-    /// RNG stream selector is `CLUSTER_STREAM + shard_index` — derived
-    /// `(seed, shard)`-style like sweep cells — so shard 0 consumes the
-    /// exact legacy stream and every shard's draws are independent of
-    /// thread count. The stream must be fixed at construction because the
-    /// initial host-failure wave draws from it before the run starts.
-    pub(crate) fn for_shard(
-        cfg: ClusterConfig,
-        trace: &'a Trace,
-        estimates: &'a Estimates,
-        policy: PolicyConfig,
-        plans: Option<&FailurePlanArena>,
-        shard_index: u64,
-    ) -> Self {
-        Self::build(
-            cfg,
-            trace,
-            estimates,
-            policy,
-            plans,
-            CLUSTER_STREAM + shard_index,
-        )
-    }
-
-    fn build(
+    /// Build over `trace`, drawing kill plans from `plans` when given. The
+    /// cluster RNG `stream` is fixed here because the initial host-failure
+    /// wave draws from it: shard `s` of a sharded run passes
+    /// `CLUSTER_STREAM + s`.
+    pub(crate) fn build(
         cfg: ClusterConfig,
         trace: &'a Trace,
         estimates: &'a Estimates,

@@ -66,6 +66,7 @@
 
 use crate::cluster::{
     ClusterConfig, ClusterJobRecord, ClusterRunResult, ClusterSim, MetricsMode, SimBudget,
+    CLUSTER_STREAM,
 };
 use crate::metrics::StreamStats;
 use crate::policy::{Estimates, PolicyConfig};
@@ -249,13 +250,13 @@ impl<'a> ShardedClusterSim<'a> {
                     progress.beat();
                 }
             };
-            let (result, obs) = ClusterSim::for_shard(
+            let (result, obs) = ClusterSim::build(
                 cfg,
                 &plan.sub_traces[s],
                 self.estimates,
                 self.policy,
                 self.plans,
-                s as u64,
+                CLUSTER_STREAM + s as u64,
             )
             .with_metrics(self.metrics_mode)
             .with_observer(O::default())
@@ -434,7 +435,7 @@ mod tests {
     /// `shards = 1` must be bit-identical to the unsharded engine — for
     /// every failure model, with and without a plan arena, across seeds.
     /// Non-vacuous by construction: the 1-shard path still goes through
-    /// `ShardPlan` + `ClusterSim::for_shard`, so this pins that shard 0's
+    /// `ShardPlan` + `ClusterSim::build`, so this pins that shard 0's
     /// RNG stream, sub-trace, and host split reproduce the legacy run.
     #[test]
     fn one_shard_matches_unsharded_engine_across_failure_models() {
