@@ -49,6 +49,12 @@ impl std::fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
+/// The most cells a grid may hold: 333× the 30 000-cell cost grid. Range
+/// steps and the axis product are checked against it at parse time, before
+/// anything is allocated, so a count no grid can hold is a named error
+/// rather than a capacity-overflow panic or a product that wraps.
+const MAX_GRID_CELLS: usize = 10_000_000;
+
 fn expand_range(table: &std::collections::BTreeMap<String, Value>) -> Result<Vec<Value>, String> {
     let get = |k: &str| -> Result<f64, String> {
         table
@@ -62,6 +68,11 @@ fn expand_range(table: &std::collections::BTreeMap<String, Value>) -> Result<Vec
     if steps_raw < 0.0 || steps_raw.fract() != 0.0 {
         return Err(format!(
             "steps must be a non-negative integer, got {steps_raw}"
+        ));
+    }
+    if steps_raw > MAX_GRID_CELLS as f64 {
+        return Err(format!(
+            "steps = {steps_raw} exceeds the {MAX_GRID_CELLS}-cell grid cap"
         ));
     }
     let steps = steps_raw as usize;
@@ -227,6 +238,7 @@ impl SweepSpec {
         }
 
         let mut axes = Vec::new();
+        let mut cells = 1usize;
         if let Some(axis_keys) = doc.section("axes") {
             for (param, v) in axis_keys {
                 let values = match v {
@@ -241,6 +253,14 @@ impl SweepSpec {
                     }
                     scalar => vec![scalar.clone()],
                 };
+                cells = cells
+                    .checked_mul(values.len())
+                    .filter(|&n| n <= MAX_GRID_CELLS)
+                    .ok_or_else(|| {
+                        SweepError(format!(
+                            "axis {param:?} takes the grid past the {MAX_GRID_CELLS}-cell cap"
+                        ))
+                    })?;
                 // Validate every axis value against the base scenario now, so
                 // errors surface at parse time rather than mid-sweep.
                 for value in &values {
@@ -389,6 +409,27 @@ mod tests {
             ckpt_cost_scale = { from = 1, to = 2 }
         "#;
         assert!(SweepSpec::from_str(bad_range).is_err());
+
+        // Counts no grid can hold are named errors: not a capacity-overflow
+        // panic, and not an axis product that wraps to a one-cell grid.
+        let huge_steps = r#"
+            [axes]
+            mem_mb = { from = 1, to = 2, steps = 1e18 }
+        "#;
+        let e = SweepSpec::from_str(huge_steps).unwrap_err();
+        assert!(e.0.contains("mem_mb") && e.0.contains("10000000"), "{e}");
+        let wrapping = r#"
+            [axes]
+            mem_mb = { from = 1, to = 2, steps = 65536 }
+            ckpt_cost_scale = { from = 1, to = 2, steps = 65536 }
+            restart_cost_scale = { from = 1, to = 2, steps = 65536 }
+            host_mem_mb = { from = 1, to = 2, steps = 65536 }
+        "#;
+        let e = SweepSpec::from_str(wrapping).unwrap_err();
+        assert!(
+            e.0.contains("ckpt_cost_scale") && e.0.contains("10000000"),
+            "{e}"
+        );
     }
 
     #[test]
