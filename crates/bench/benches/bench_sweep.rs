@@ -8,7 +8,8 @@
 //! fingerprint, samples and output checks is `perfbench/`.
 //!
 //! `CKPT_BENCH_ONLY=<substring>` restricts a run to matching bench groups
-//! (the CI smoke uses `CKPT_BENCH_ONLY=sweep_throughput`).
+//! (the CI smokes run `sweep_throughput` and `des_throughput` one at a
+//! time).
 
 use ckpt_faults::{FaultPlan, FaultState};
 use ckpt_obs::{Counter, Counters, Observer, Telemetry};
