@@ -512,15 +512,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         self.queue.schedule(when, ev);
     }
 
-    /// Account a provably-stale kill the engine decided not to enqueue:
-    /// it counts as scheduled *and* stale-skipped, keeping the
-    /// `popped == scheduled − stale_skips` identity exact on completion.
-    #[inline]
-    fn count_stale_skip(&mut self) {
-        self.obs.tick(Counter::EventsScheduled);
-        self.obs.tick(Counter::StaleSkips);
-    }
-
     /// Draw the next whole-host failure for `host` from the configured
     /// failure process (the default exponential process reproduces the
     /// historical `-ln(U)·MTBF` draw on the same stream, bit-for-bit).
@@ -623,7 +614,9 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     /// Arm the task's next planned kill for the phase it entered now under
     /// `epoch`. A kill beyond the phase's known end (`ends_at`) can never
     /// fire in it — the phase's own transition would make it stale — so it
-    /// is skipped, and the next phase arms the same kill again. A kill at
+    /// is skipped, and the next phase arms the same kill again. The skip
+    /// counts as scheduled *and* stale-skipped, keeping the `popped ==
+    /// scheduled − stale_skips` identity exact on completion. A kill at
     /// exactly `ends_at` is armed; scheduled before the phase's end event,
     /// it pops first and wins the tie.
     fn arm_kill(&mut self, ti: usize, epoch: u32, ends_at: Option<SimTime>) {
@@ -632,7 +625,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         };
         let fail_at = self.now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
         if ends_at.is_some_and(|end| fail_at > end) {
-            self.count_stale_skip();
+            self.obs.tick(Counter::EventsScheduled);
+            self.obs.tick(Counter::StaleSkips);
         } else {
             self.schedule_ev(
                 fail_at,

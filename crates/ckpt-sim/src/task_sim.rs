@@ -23,22 +23,14 @@
 //! engine ([`crate::cluster`]) runs the same per-task model as discrete
 //! events, so that scheduling, storage contention, and host failures can
 //! interleave between tasks. Both engines call the transitions defined
-//! here: `next_checkpoint_in` picks the checkpoint a run phase heads for,
-//! and `TaskOutcome`'s `roll_back`, `abort_checkpoint` and
-//! `complete_checkpoint` account a kill, an aborted write and a completed
-//! write. Each engine keeps only its clock: `f64` busy time here,
-//! whole-microsecond `SimTime` events in the DES. The test
-//! `fast_path_and_cluster_des_agree_per_job` (`tests/end_to_end.rs`)
-//! replays one kill-plan arena through both on a fleet where nothing
-//! queues: counts and restart time agree exactly per job, and wall,
-//! rollback and checkpoint time within 2 µs per transition.
-//!
-//! The engines differ in one comparison, the tie rule. Here the tests
-//! `tf < run_needed` and `tf < ckpt_cost` are strict, so a kill exactly at
-//! a milestone or at a write's end lands in the next phase. The DES arms a
-//! kill when it falls at or before its phase's end and schedules it first,
-//! so the kill wins the tie: it kills the run, or aborts the write. In the
-//! DES such a tie needs equal whole-microsecond times.
+//! here (`next_checkpoint_in`, and `TaskOutcome`'s `roll_back`,
+//! `abort_checkpoint` and `complete_checkpoint`) and keep only their own
+//! clocks; `fast_path_and_cluster_des_agree_per_job` in
+//! `tests/end_to_end.rs` checks that they give every job the same outcome
+//! on a fleet where nothing queues. They differ in the tie rule alone: this
+//! loop's kill tests (`tf < run_needed`, `tf < ckpt_cost`) are strict, so a
+//! kill exactly at a phase's end lands in the next phase, while the DES
+//! lets the kill win the tie.
 
 use crate::controller::{Controller, Schedule};
 use ckpt_stats::rng::Rng64;
