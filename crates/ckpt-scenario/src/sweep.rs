@@ -284,16 +284,10 @@ impl SweepSpec {
         })
     }
 
-    /// Total number of grid cells: the product of the axis lengths.
+    /// Total number of grid cells: the product of the axis lengths (1 with
+    /// no axes, a single-cell "sweep" of the base).
     pub fn grid_size(&self) -> usize {
-        self.axes
-            .iter()
-            .map(|a| a.values.len())
-            .product::<usize>()
-            .max(
-                // A sweep with no axes is a single-cell "sweep" of the base.
-                1,
-            )
+        self.axes.iter().map(|a| a.values.len()).product()
     }
 
     /// The axis assignments of cell `index` (row-major, last axis fastest),
