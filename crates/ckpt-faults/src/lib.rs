@@ -20,12 +20,15 @@
 //!
 //! * the **fault taxonomy** — which `io::ErrorKind`s are transient
 //!   (worth retrying) vs fatal ([`is_transient_kind`]);
-//! * the **retry budget and backoff schedule** — [`MAX_ATTEMPTS`]
-//!   attempts per operation, sleeping [`backoff_delay`] between them,
-//!   behind an injectable [`Clock`] so tests never really sleep;
+//! * the **retry loop** — [`FaultState::retry`], the one loop every
+//!   guarded operation (cell evaluation, store open/create and append,
+//!   export) runs through: [`MAX_ATTEMPTS`] attempts, sleeping
+//!   [`backoff_delay`] between them behind an injectable [`Clock`] so
+//!   tests never really sleep;
 //! * the **degraded-run summary** — [`RunHealth`], the cells-ok /
 //!   retried / quarantined / io-retries / faults-fired report every
-//!   sweep surfaces on stderr.
+//!   sweep surfaces on stderr, tallied in [`FaultState`] as retries
+//!   happen and faults fire.
 //!
 //! Determinism rules: a plan with no directives injects nothing and the
 //! run's output bytes are identical to a build without this crate; a plan
@@ -349,13 +352,23 @@ pub enum CellFault {
     Budget,
 }
 
-/// A store-append fault the store layer must realize.
+/// A fault the plan fires at one attempt of a store or export operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// Fail the append with an I/O error of this kind (nothing written).
+pub enum IoFault {
+    /// Fail the attempt with an I/O error of this kind (nothing written).
     Io(ErrorKind),
-    /// Write half the frame, then abort the process (torn tail).
+    /// Write half the frame, then abort the process (torn tail). Fires
+    /// only on store appends ([`IoOp::Write`]).
     Torn,
+}
+
+/// Which [`RunHealth`] tally a guarded operation's retries count toward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retried {
+    /// Cell evaluations (`cell_retries`).
+    Cell,
+    /// Store and export I/O (`io_retries`).
+    Io,
 }
 
 /// The clock behind retry backoff. Injectable so tests assert the
@@ -422,15 +435,18 @@ impl Armed {
     }
 }
 
-/// The armed, thread-safe runtime form of a [`FaultPlan`]: ordinal
-/// counters for store operations, per-directive fire counts, and the
-/// backoff clock. One `FaultState` serves a whole run, shared across
-/// workers behind an `Arc`.
+/// The armed, thread-safe runtime form of a [`FaultPlan`]: one attempt
+/// ordinal per [`IoOp`], per-directive fire counts, the run's retry
+/// tallies, and the backoff clock. One `FaultState` serves a whole run,
+/// shared across workers behind an `Arc`; every guarded operation of
+/// that run retries through [`FaultState::retry`], so the tallies and
+/// fire counts behind [`FaultState::health`] cover all of them.
 pub struct FaultState {
     armed: Vec<Armed>,
-    writes: AtomicU64,
-    opens: AtomicU64,
-    exports: AtomicU64,
+    /// Attempts so far of each operation, indexed by `IoOp as usize`.
+    ordinals: [AtomicU64; 3],
+    cell_retries: AtomicU64,
+    io_retries: AtomicU64,
     clock: Box<dyn Clock>,
 }
 
@@ -466,9 +482,9 @@ impl FaultState {
                     fired: AtomicU32::new(0),
                 })
                 .collect(),
-            writes: AtomicU64::new(0),
-            opens: AtomicU64::new(0),
-            exports: AtomicU64::new(0),
+            ordinals: Default::default(),
+            cell_retries: AtomicU64::new(0),
+            io_retries: AtomicU64::new(0),
             clock,
         }
     }
@@ -487,8 +503,8 @@ impl FaultState {
     }
 
     /// Total faults fired so far (the `faults_injected` counter).
-    /// `crash` directives are counted by the executor's crash hook at
-    /// abort time, so they never show up here.
+    /// `crash` directives abort the process instead of firing, so they
+    /// never show up here.
     pub fn fired_total(&self) -> u64 {
         self.armed
             .iter()
@@ -499,79 +515,84 @@ impl FaultState {
     /// Consult the plan at the start of one evaluation attempt of `cell`.
     /// At most one directive fires per attempt (plan order decides ties).
     pub fn cell_fault(&self, cell: u64) -> Option<CellFault> {
-        for a in &self.armed {
-            match a.spec {
-                FaultSpec::Panic { cell: c, times } if c == cell && a.try_fire(times) => {
-                    return Some(CellFault::Panic);
-                }
-                FaultSpec::Budget { cell: c, times } if c == cell && a.try_fire(times) => {
-                    return Some(CellFault::Budget);
-                }
-                _ => {}
+        self.armed.iter().find_map(|a| match a.spec {
+            FaultSpec::Panic { cell: c, times } if c == cell && a.try_fire(times) => {
+                Some(CellFault::Panic)
             }
-        }
-        None
-    }
-
-    /// Consult the plan before one store-append attempt. Each call
-    /// advances the append ordinal; an `io_error@write=N` directive arms
-    /// at ordinal `N` and fires for its `times` consecutive attempts
-    /// (so `times=2` fails the append *and* its first retry).
-    pub fn store_write_fault(&self) -> Option<WriteFault> {
-        let ordinal = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
-        for a in &self.armed {
-            match a.spec {
-                FaultSpec::TornWrite { record } if record == ordinal && a.try_fire(1) => {
-                    return Some(WriteFault::Torn);
-                }
-                FaultSpec::IoError {
-                    op: IoOp::Write,
-                    at,
-                    kind,
-                    times,
-                } if ordinal >= at && a.try_fire(times) => {
-                    return Some(WriteFault::Io(kind));
-                }
-                _ => {}
+            FaultSpec::Budget { cell: c, times } if c == cell && a.try_fire(times) => {
+                Some(CellFault::Budget)
             }
-        }
-        None
+            _ => None,
+        })
     }
 
-    /// Consult the plan before one store-open attempt (same arming rule
-    /// as [`FaultState::store_write_fault`], on the open ordinal).
-    pub fn store_open_fault(&self) -> Option<ErrorKind> {
-        let ordinal = self.opens.fetch_add(1, Ordering::Relaxed) + 1;
-        self.io_fault_at(IoOp::Open, ordinal)
-    }
-
-    /// Consult the plan before one export-write attempt.
-    pub fn export_fault(&self) -> Option<ErrorKind> {
-        let ordinal = self.exports.fetch_add(1, Ordering::Relaxed) + 1;
-        self.io_fault_at(IoOp::Export, ordinal)
-    }
-
-    fn io_fault_at(&self, want: IoOp, ordinal: u64) -> Option<ErrorKind> {
-        for a in &self.armed {
-            if let FaultSpec::IoError {
-                op,
+    /// Consult the plan before one attempt of `op`. Each call advances
+    /// that op's ordinal; an `io_error@<op>=N` directive arms at ordinal
+    /// `N` and fires for its `times` consecutive attempts (so `times=2`
+    /// fails the operation *and* its first retry). `torn_write@record=N`
+    /// fires once, at append ordinal `N`. At most one directive fires
+    /// per attempt (plan order decides ties).
+    pub fn io_fault(&self, op: IoOp) -> Option<IoFault> {
+        let ordinal = self.ordinals[op as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        self.armed.iter().find_map(|a| match a.spec {
+            FaultSpec::TornWrite { record }
+                if op == IoOp::Write && record == ordinal && a.try_fire(1) =>
+            {
+                Some(IoFault::Torn)
+            }
+            FaultSpec::IoError {
+                op: o,
                 at,
                 kind,
                 times,
-            } = a.spec
-            {
-                if op == want && ordinal >= at && a.try_fire(times) {
-                    return Some(kind);
-                }
-            }
-        }
-        None
+            } if o == op && ordinal >= at && a.try_fire(times) => Some(IoFault::Io(kind)),
+            _ => None,
+        })
     }
 
-    /// Sleep the backoff before retry number `retry` (0-based) through
-    /// the armed clock.
-    pub fn sleep_backoff(&self, retry: u32) {
-        self.clock.sleep(backoff_delay(retry));
+    /// Run one guarded operation under the retry discipline: up to
+    /// [`MAX_ATTEMPTS`] attempts, sleeping [`backoff_delay`] through the
+    /// armed clock between them. A failure stops the loop when `strict`
+    /// is set, when `retryable` rejects it, or when the budget is spent;
+    /// otherwise `on_retry(n, &err)` reports failed attempt `n` (1-based)
+    /// and the `tally` counter ticks before the backoff. Returns the
+    /// first success or the last failure.
+    pub fn retry<T, E>(
+        &self,
+        tally: Retried,
+        strict: bool,
+        retryable: impl Fn(&E) -> bool,
+        mut on_retry: impl FnMut(u32, &E),
+        mut attempt: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let retries = match tally {
+            Retried::Cell => &self.cell_retries,
+            Retried::Io => &self.io_retries,
+        };
+        let mut n = 1;
+        loop {
+            match attempt() {
+                Err(e) if !strict && n < MAX_ATTEMPTS && retryable(&e) => {
+                    on_retry(n, &e);
+                    retries.fetch_add(1, Ordering::Relaxed);
+                    self.clock.sleep(backoff_delay(n - 1));
+                    n += 1;
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// The run's health report: the caller's cell outcome counts plus
+    /// every retry and fired fault tallied so far.
+    pub fn health(&self, cells_ok: u64, cells_quarantined: u64) -> RunHealth {
+        RunHealth {
+            cells_ok,
+            cells_quarantined,
+            cell_retries: self.cell_retries.load(Ordering::Relaxed),
+            io_retries: self.io_retries.load(Ordering::Relaxed),
+            faults_injected: self.fired_total(),
+        }
     }
 }
 
@@ -628,9 +649,9 @@ mod tests {
             let state = FaultState::new(plan);
             assert!(state.is_empty());
             assert_eq!(state.cell_fault(0), None);
-            assert_eq!(state.store_write_fault(), None);
-            assert_eq!(state.store_open_fault(), None);
-            assert_eq!(state.export_fault(), None);
+            for op in [IoOp::Write, IoOp::Open, IoOp::Export] {
+                assert_eq!(state.io_fault(op), None);
+            }
             assert_eq!(state.fired_total(), 0);
         }
     }
@@ -724,17 +745,12 @@ mod tests {
     fn write_faults_arm_at_ordinal_and_fire_consecutively() {
         let plan = FaultPlan::parse("io_error@write=3:times=2").unwrap();
         let state = FaultState::new(plan);
-        assert_eq!(state.store_write_fault(), None); // 1
-        assert_eq!(state.store_write_fault(), None); // 2
-        assert_eq!(
-            state.store_write_fault(),
-            Some(WriteFault::Io(ErrorKind::Interrupted)) // 3: armed
-        );
-        assert_eq!(
-            state.store_write_fault(),
-            Some(WriteFault::Io(ErrorKind::Interrupted)) // 4: the retry
-        );
-        assert_eq!(state.store_write_fault(), None); // 5: disarmed
+        let interrupted = Some(IoFault::Io(ErrorKind::Interrupted));
+        assert_eq!(state.io_fault(IoOp::Write), None); // 1
+        assert_eq!(state.io_fault(IoOp::Write), None); // 2
+        assert_eq!(state.io_fault(IoOp::Write), interrupted); // 3: armed
+        assert_eq!(state.io_fault(IoOp::Write), interrupted); // 4: the retry
+        assert_eq!(state.io_fault(IoOp::Write), None); // 5: disarmed
         assert_eq!(state.fired_total(), 2);
     }
 
@@ -742,20 +758,30 @@ mod tests {
     fn torn_write_fires_once_at_its_exact_ordinal() {
         let plan = FaultPlan::parse("torn_write@record=2").unwrap();
         let state = FaultState::new(plan);
-        assert_eq!(state.store_write_fault(), None);
-        assert_eq!(state.store_write_fault(), Some(WriteFault::Torn));
-        assert_eq!(state.store_write_fault(), None);
+        assert_eq!(state.io_fault(IoOp::Write), None);
+        assert_eq!(state.io_fault(IoOp::Write), Some(IoFault::Torn));
+        assert_eq!(state.io_fault(IoOp::Write), None);
     }
 
     #[test]
     fn open_and_export_ordinals_are_independent() {
-        let plan = FaultPlan::parse("io_error@open=1:kind=timed_out; io_error@export=2:kind=other")
-            .unwrap();
+        let plan = FaultPlan::parse(
+            "io_error@open=1:kind=timed_out; io_error@export=2:kind=other; torn_write@record=1",
+        )
+        .unwrap();
         let state = FaultState::new(plan);
-        assert_eq!(state.export_fault(), None); // export ordinal 1
-        assert_eq!(state.store_open_fault(), Some(ErrorKind::TimedOut));
-        assert_eq!(state.export_fault(), Some(ErrorKind::Other)); // ordinal 2
-        assert_eq!(state.store_open_fault(), None);
+        assert_eq!(state.io_fault(IoOp::Export), None); // export ordinal 1
+        assert_eq!(
+            state.io_fault(IoOp::Open),
+            Some(IoFault::Io(ErrorKind::TimedOut))
+        );
+        assert_eq!(
+            state.io_fault(IoOp::Export),
+            Some(IoFault::Io(ErrorKind::Other)) // export ordinal 2
+        );
+        assert_eq!(state.io_fault(IoOp::Open), None);
+        // A torn write tears appends only, on the append ordinal.
+        assert_eq!(state.io_fault(IoOp::Write), Some(IoFault::Torn));
     }
 
     #[test]
@@ -783,21 +809,121 @@ mod tests {
         assert!(backoff_delay(100) >= backoff_delay(99));
     }
 
-    #[test]
-    fn test_clock_records_instead_of_sleeping() {
-        let plan = FaultPlan::parse("panic@cell=0:times=1").unwrap();
-        let clock = std::sync::Arc::new(TestClock::default());
+    /// A state whose backoff sleeps land in a shared [`TestClock`].
+    fn with_test_clock(plan: &str) -> (FaultState, std::sync::Arc<TestClock>) {
         struct Fwd(std::sync::Arc<TestClock>);
         impl Clock for Fwd {
             fn sleep(&self, d: Duration) {
                 self.0.sleep(d);
             }
         }
+        let clock = std::sync::Arc::new(TestClock::default());
+        let plan = FaultPlan::parse(plan).unwrap();
         let state = FaultState::with_clock(plan, Box::new(Fwd(clock.clone())));
-        state.sleep_backoff(0);
-        state.sleep_backoff(1);
+        (state, clock)
+    }
+
+    #[test]
+    fn retry_spends_the_budget_on_the_backoff_schedule() {
+        let (state, clock) = with_test_clock("");
+        let mut attempts = 0;
+        let mut notes = Vec::new();
+        let out: Result<(), &str> = state.retry(
+            Retried::Io,
+            false,
+            |_| true,
+            |n, _| notes.push((n, clock.sleeps(), clock.total())),
+            || {
+                attempts += 1;
+                Err("down")
+            },
+        );
+        assert_eq!(out, Err("down"));
+        assert_eq!(attempts, MAX_ATTEMPTS);
+        // Each retry note comes before its backoff: 1, 5, then 25 ms.
+        let ms = Duration::from_millis;
+        assert_eq!(
+            notes,
+            vec![(1, 0, ms(0)), (2, 1, ms(1)), (3, 2, ms(6))],
+            "retry n/3 notes"
+        );
+        assert_eq!((clock.sleeps(), clock.total()), (3, ms(31)));
+        let health = state.health(0, 0);
+        assert_eq!((health.io_retries, health.cell_retries), (3, 0));
+    }
+
+    #[test]
+    fn retry_stops_at_the_first_success() {
+        let (state, clock) = with_test_clock("");
+        let mut attempts = 0;
+        let out = state.retry(
+            Retried::Cell,
+            false,
+            |_: &&str| true,
+            |_, _| {},
+            || {
+                attempts += 1;
+                if attempts < 3 {
+                    Err("flaky")
+                } else {
+                    Ok(attempts)
+                }
+            },
+        );
+        assert_eq!(out, Ok(3));
         assert_eq!(clock.sleeps(), 2);
-        assert_eq!(clock.total(), Duration::from_millis(6));
+        let health = state.health(1, 0);
+        assert_eq!((health.cell_retries, health.io_retries), (2, 0));
+    }
+
+    #[test]
+    fn fatal_errors_and_strict_stop_after_one_attempt() {
+        for (strict, retryable) in [(false, false), (true, true)] {
+            let (state, clock) = with_test_clock("");
+            let mut attempts = 0;
+            let out: Result<(), &str> = state.retry(
+                Retried::Io,
+                strict,
+                |_| retryable,
+                |_, _| panic!("no retry may be reported"),
+                || {
+                    attempts += 1;
+                    Err("fatal")
+                },
+            );
+            assert_eq!(out, Err("fatal"));
+            assert_eq!(attempts, 1, "strict {strict}, retryable {retryable}");
+            assert_eq!(clock.sleeps(), 0);
+            assert_eq!(state.health(0, 0), RunHealth::default());
+        }
+    }
+
+    #[test]
+    fn health_reports_fired_faults_and_both_retry_tallies() {
+        let (state, _) = with_test_clock("io_error@export=1; budget@cell=0:times=1");
+        let export: Result<(), ErrorKind> = state.retry(
+            Retried::Io,
+            false,
+            |kind| is_transient_kind(*kind),
+            |_, _| {},
+            || match state.io_fault(IoOp::Export) {
+                Some(IoFault::Io(kind)) => Err(kind),
+                _ => Ok(()),
+            },
+        );
+        assert_eq!(export, Ok(()));
+        let cell: Result<(), ()> = state.retry(
+            Retried::Cell,
+            false,
+            |_| true,
+            |_, _| {},
+            || state.cell_fault(0).map_or(Ok(()), |_| Err(())),
+        );
+        assert_eq!(cell, Ok(()));
+        assert_eq!(
+            state.health(4, 0).summary(),
+            "4 cells ok, 0 quarantined, 1 cell retry, 1 io retry, 2 faults injected"
+        );
     }
 
     #[test]

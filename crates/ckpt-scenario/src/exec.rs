@@ -19,7 +19,10 @@ use crate::agg::MetricSummary;
 use crate::ckpt::{self, CheckpointConfig, ResumeReport};
 use crate::spec::{EngineKind, MetricsChoice, SampleFilter, ScenarioSpec};
 use crate::sweep::{SweepError, SweepSpec};
-use ckpt_faults::{io_kind_name, is_transient_kind, CellFault, FaultState, RunHealth, WriteFault};
+use ckpt_faults::{
+    io_kind_name, is_transient_kind, CellFault, FaultState, IoFault, IoOp, Retried, RunHealth,
+    MAX_ATTEMPTS,
+};
 use ckpt_obs::{Counter, Counters, Phase, Telemetry};
 use ckpt_sim::blcr::{BlcrModel, Device};
 use ckpt_sim::cluster::MetricsMode;
@@ -30,14 +33,13 @@ use ckpt_sim::shard::ShardedClusterSim;
 use ckpt_sim::storage::{OpId, PsResource};
 use ckpt_sim::time::SimTime;
 use ckpt_stats::rng::{Rng64, Xoshiro256StarStar};
-use ckpt_store::{CellRecord, StoreHeader, SweepStore};
+use ckpt_store::{CellRecord, StoreError, StoreHeader, SweepStore};
 use ckpt_trace::export;
 use ckpt_trace::gen::{generate, Trace};
 use ckpt_trace::plan::FailurePlanArena;
 use ckpt_trace::stats::{failure_prone_jobs, trace_histories_from_plans, TaskRecord};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Executor options.
@@ -701,45 +703,21 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("panicked: {msg}")
 }
 
-/// This run's health tallies, shared by every worker. Kept separate from
-/// telemetry counters so [`RunHealth`] is reported even without a
-/// telemetry bundle attached.
-#[derive(Default)]
-struct HealthTally {
-    cell_retries: AtomicU64,
-    io_retries: AtomicU64,
-}
-
-/// One transient-io retry step: stderr note, counter ticks, deterministic
-/// backoff (through the policy's clock, so tests inject a fake one).
-fn io_retry_pause(
-    what: &str,
-    detail: &str,
-    retry: &mut u32,
-    policy: &FaultPolicy,
-    telemetry: Option<&Telemetry>,
-    tally: &HealthTally,
-) {
-    eprintln!(
-        "sweep: transient io failure {what} ({detail}); retry {}/{}",
-        *retry + 1,
-        ckpt_faults::MAX_ATTEMPTS - 1
-    );
-    if let Some(t) = telemetry {
-        t.counters.add(Counter::IoRetries, 1);
+/// Count a fault the plan fired into the telemetry counters, at the
+/// moment it fires.
+fn fired<F>(telemetry: Option<&Telemetry>, fault: Option<F>) -> Option<F> {
+    if let (Some(t), Some(_)) = (telemetry, &fault) {
+        t.counters.add(Counter::FaultsInjected, 1);
     }
-    tally.io_retries.fetch_add(1, Ordering::Relaxed);
-    policy.faults.sleep_backoff(*retry);
-    *retry += 1;
+    fault
 }
 
 /// [`evaluate_cell`] under the fault policy: injected cell faults fire
 /// first (before any cache fill, so counters never half-tick for an
 /// injected failure), panics unwind no further than this frame, and a
-/// failing cell is retried with backoff up to [`ckpt_faults::MAX_ATTEMPTS`]
-/// total attempts before being quarantined as [`CellStatus::Failed`] —
-/// unless the policy is strict, in which case the first failure is fatal.
-#[allow(clippy::too_many_arguments)]
+/// failing cell is retried through [`FaultState::retry`] before being
+/// quarantined as [`CellStatus::Failed`] — unless the policy is strict,
+/// in which case the first failure is fatal.
 fn evaluate_cell_guarded(
     sweep: &SweepSpec,
     spec: &ScenarioSpec,
@@ -748,61 +726,122 @@ fn evaluate_cell_guarded(
     cache: &RunCache,
     telemetry: Option<&Telemetry>,
     policy: &FaultPolicy,
-    tally: &HealthTally,
 ) -> Result<CellResult, String> {
-    let mut attempt = 1u32;
-    loop {
-        let injected = policy.faults.cell_fault(cell_index as u64);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match injected {
-            Some(CellFault::Panic) => panic!("injected fault: panic at cell {cell_index}"),
-            Some(CellFault::Budget) => Err(format!(
-                "injected fault: budget exhausted at cell {cell_index}"
-            )),
-            None => evaluate_cell(sweep, spec, cell_index, replay_threads, cache, telemetry),
-        }));
-        let reason = match outcome {
-            Ok(Ok(cell)) => return Ok(cell),
-            Ok(Err(e)) => e,
-            Err(payload) => panic_reason(payload),
-        };
-        if policy.strict {
-            return Err(reason);
-        }
-        if attempt < ckpt_faults::MAX_ATTEMPTS {
+    let evaluated = policy.faults.retry(
+        Retried::Cell,
+        policy.strict,
+        |_| true,
+        |n, reason: &String| {
             eprintln!(
-                "sweep: cell {cell_index} failed ({reason}); retry {attempt}/{}",
-                ckpt_faults::MAX_ATTEMPTS - 1
+                "sweep: cell {cell_index} failed ({reason}); retry {n}/{}",
+                MAX_ATTEMPTS - 1
             );
             if let Some(t) = telemetry {
                 t.counters.add(Counter::CellsRetried, 1);
             }
-            tally.cell_retries.fetch_add(1, Ordering::Relaxed);
-            policy.faults.sleep_backoff(attempt - 1);
-            attempt += 1;
-            continue;
+        },
+        || {
+            let injected = fired(telemetry, policy.faults.cell_fault(cell_index as u64));
+            std::panic::catch_unwind(AssertUnwindSafe(|| match injected {
+                Some(CellFault::Panic) => panic!("injected fault: panic at cell {cell_index}"),
+                Some(CellFault::Budget) => Err(format!(
+                    "injected fault: budget exhausted at cell {cell_index}"
+                )),
+                None => evaluate_cell(sweep, spec, cell_index, replay_threads, cache, telemetry),
+            }))
+            .unwrap_or_else(|payload| Err(panic_reason(payload)))
+        },
+    );
+    let reason = match evaluated {
+        Err(reason) if !policy.strict => reason,
+        done => return done,
+    };
+    // Retry budget spent: quarantine. The cell keeps its place in the
+    // grid with NaN metrics and the reason in its status; it is never
+    // persisted, so a later --resume re-evaluates it.
+    eprintln!("sweep: cell {cell_index} quarantined after {MAX_ATTEMPTS} attempts: {reason}");
+    if let Some(t) = telemetry {
+        t.counters.add(Counter::CellsFailed, 1);
+        if let Some(progress) = &t.progress {
+            progress.cell_done();
         }
-        // Retry budget spent: quarantine. The cell keeps its place in the
-        // grid with NaN metrics and the reason in its status; it is never
-        // persisted, so a later --resume re-evaluates it.
-        eprintln!("sweep: cell {cell_index} quarantined after {attempt} attempts: {reason}");
-        if let Some(t) = telemetry {
-            t.counters.add(Counter::CellsFailed, 1);
-            if let Some(progress) = &t.progress {
-                progress.cell_done();
-            }
-        }
-        let params = sweep
-            .cell_params(cell_index)
-            .into_iter()
-            .map(|(k, v)| (k, v.render()))
-            .collect();
-        return Ok(CellResult {
-            index: cell_index,
-            params,
-            metrics: vec![("failed", MetricSummary::from_values(&[]))],
-            status: CellStatus::Failed { reason },
-        });
     }
+    let params = sweep
+        .cell_params(cell_index)
+        .into_iter()
+        .map(|(k, v)| (k, v.render()))
+        .collect();
+    Ok(CellResult {
+        index: cell_index,
+        params,
+        metrics: vec![("failed", MetricSummary::from_values(&[]))],
+        status: CellStatus::Failed { reason },
+    })
+}
+
+/// One failed attempt of a guarded I/O operation: an error the fault
+/// plan injected, or the operation's own.
+enum IoFailure<E> {
+    Injected(std::io::ErrorKind),
+    Failed(E),
+}
+
+impl<E: std::fmt::Display> std::fmt::Display for IoFailure<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IoFailure::Injected(kind) => f.write_str(io_kind_name(*kind)),
+            IoFailure::Failed(e) => e.fmt(f),
+        }
+    }
+}
+
+/// Run one store or export I/O operation under the fault policy — the
+/// single entry every guarded I/O operation of a sweep goes through. Each
+/// attempt first consults the plan's `op` faults (an injected error
+/// stands in for the attempt; a fired fault ticks `faults_injected`),
+/// then calls `attempt(torn)`, where `torn` asks a store append to tear
+/// its frame and abort. Failures go through [`FaultState::retry`]:
+/// injected errors retry when their kind is transient, the operation's
+/// own errors when `retryable` says so. `what` names the operation in the
+/// retry notes and the final error, and is only formatted for them.
+pub fn guarded_io<T, E: std::fmt::Display>(
+    policy: &FaultPolicy,
+    telemetry: Option<&Telemetry>,
+    op: IoOp,
+    what: impl Fn() -> String,
+    retryable: impl Fn(&E) -> bool,
+    mut attempt: impl FnMut(bool) -> Result<T, E>,
+) -> Result<T, String> {
+    policy
+        .faults
+        .retry(
+            Retried::Io,
+            policy.strict,
+            |failure: &IoFailure<E>| match failure {
+                IoFailure::Injected(kind) => is_transient_kind(*kind),
+                IoFailure::Failed(e) => retryable(e),
+            },
+            |n, failure| {
+                eprintln!(
+                    "sweep: transient io failure {} ({failure}); retry {n}/{}",
+                    what(),
+                    MAX_ATTEMPTS - 1
+                );
+                if let Some(t) = telemetry {
+                    t.counters.add(Counter::IoRetries, 1);
+                }
+            },
+            || match fired(telemetry, policy.faults.io_fault(op)) {
+                Some(IoFault::Io(kind)) => Err(IoFailure::Injected(kind)),
+                torn => attempt(torn.is_some()).map_err(IoFailure::Failed),
+            },
+        )
+        .map_err(|failure| match failure {
+            IoFailure::Injected(kind) => {
+                format!("{}: injected io error ({})", what(), io_kind_name(kind))
+            }
+            IoFailure::Failed(e) => format!("{}: {e}", what()),
+        })
 }
 
 /// Run a sweep under a shared [`ckpt_report::RunContext`]: the context's
@@ -897,37 +936,34 @@ struct CkptWriter {
 }
 
 impl CkptWriter {
-    /// Append one finished cell; with the crash hook armed, abort the
-    /// process once enough records landed — while still holding the lock,
-    /// so exactly `crash_after` records exist on disk.
-    ///
-    /// Store faults (injected or genuine) are classified here: transient
-    /// kinds retry with backoff under a non-strict policy, torn-write
-    /// injection leaves half a frame on disk and dies like a mid-append
-    /// kill, anything else is fatal for the whole run — a store that can't
-    /// persist is not a per-cell problem.
+    /// Append one finished cell through [`guarded_io`]; with the crash
+    /// hook armed, abort the process once enough records landed — while
+    /// still holding the lock, so exactly `crash_after` records exist on
+    /// disk. Torn-write injection leaves half a frame on disk and dies
+    /// like a mid-append kill; an error that outlasts the retries is fatal
+    /// for the whole run — a store that can't persist is not a per-cell
+    /// problem.
     fn persist(
         writer: &Mutex<CkptWriter>,
         spec: &ScenarioSpec,
         cell: &CellResult,
         telemetry: Option<&Telemetry>,
         policy: &FaultPolicy,
-        tally: &HealthTally,
     ) -> Result<(), String> {
         let record = CellRecord {
             index: cell.index as u64,
             key_digest: ckpt::cell_key_digest(&spec.run_key(), &cell.params),
             payload: ckpt::encode_cell(cell),
         };
-        let what = format!("persisting cell {}", cell.index);
-        let mut retry = 0u32;
-        loop {
-            // Injected store faults fire once per append attempt, before
-            // the real write — the file only ever sees the final
-            // successful append (or the torn frame below).
-            match policy.faults.store_write_fault() {
-                Some(WriteFault::Torn) => {
-                    let mut w = lock_recover(writer);
+        guarded_io(
+            policy,
+            telemetry,
+            IoOp::Write,
+            || format!("persisting cell {}", cell.index),
+            StoreError::is_transient,
+            |torn| {
+                let mut w = lock_recover(writer);
+                if torn {
                     // Half a frame, no bookkeeping, die hard: the next
                     // open must detect and truncate the torn tail.
                     let _ = w.store.append_torn(&record);
@@ -937,61 +973,28 @@ impl CkptWriter {
                     );
                     std::process::exit(ckpt::CRASH_EXIT_CODE);
                 }
-                Some(WriteFault::Io(kind)) => {
-                    if is_transient_kind(kind)
-                        && !policy.strict
-                        && retry < ckpt_faults::MAX_ATTEMPTS - 1
-                    {
-                        io_retry_pause(
-                            &what,
-                            io_kind_name(kind),
-                            &mut retry,
-                            policy,
-                            telemetry,
-                            tally,
+                w.store.append(&record)?;
+                w.written += 1;
+                if let Some(t) = telemetry {
+                    t.counters.add(Counter::CkptRecordsWritten, 1);
+                }
+                if let Some(limit) = w.crash_after {
+                    if w.written >= limit {
+                        // Simulated preemption for kill-and-resume tests:
+                        // die hard (no unwinding, no final sync), like a
+                        // real kill -9 — appended records are already in
+                        // the file.
+                        eprintln!(
+                            "ckpt crash hook: aborting after {} persisted cell{}",
+                            w.written,
+                            if w.written == 1 { "" } else { "s" }
                         );
-                        continue;
+                        std::process::exit(ckpt::CRASH_EXIT_CODE);
                     }
-                    return Err(format!(
-                        "{what}: injected io error ({})",
-                        io_kind_name(kind)
-                    ));
                 }
-                None => {}
-            }
-            let mut w = lock_recover(writer);
-            match w.store.append(&record) {
-                Ok(()) => {}
-                Err(e)
-                    if e.is_transient()
-                        && !policy.strict
-                        && retry < ckpt_faults::MAX_ATTEMPTS - 1 =>
-                {
-                    drop(w);
-                    io_retry_pause(&what, &e.to_string(), &mut retry, policy, telemetry, tally);
-                    continue;
-                }
-                Err(e) => return Err(format!("{what}: {e}")),
-            }
-            w.written += 1;
-            if let Some(t) = telemetry {
-                t.counters.add(Counter::CkptRecordsWritten, 1);
-            }
-            if let Some(limit) = w.crash_after {
-                if w.written >= limit {
-                    // Simulated preemption for kill-and-resume tests: die
-                    // hard (no unwinding, no final sync), like a real
-                    // kill -9 — appended records are already in the file.
-                    eprintln!(
-                        "ckpt crash hook: aborting after {} persisted cell{}",
-                        w.written,
-                        if w.written == 1 { "" } else { "s" }
-                    );
-                    std::process::exit(ckpt::CRASH_EXIT_CODE);
-                }
-            }
-            return Ok(());
-        }
+                Ok(())
+            },
+        )
     }
 }
 
@@ -1004,54 +1007,10 @@ fn open_store(
     config: &CheckpointConfig,
     policy: &FaultPolicy,
     telemetry: Option<&Telemetry>,
-    tally: &HealthTally,
 ) -> Result<(SweepStore, HashMap<usize, CellResult>, ResumeReport), SweepError> {
-    let fail = |e: ckpt_store::StoreError| SweepError(e.to_string());
     std::fs::create_dir_all(&config.dir)
         .map_err(|e| SweepError(format!("checkpoint dir {}: {e}", config.dir.display())))?;
     let path = config.store_path(&sweep.name);
-    // Injected open faults and genuinely transient open errors retry with
-    // backoff (non-strict policy); everything else is fatal.
-    let open_guarded = |what: &str,
-                        f: &mut dyn FnMut() -> Result<
-        (SweepStore, Vec<CellRecord>, ckpt_store::OpenReport),
-        ckpt_store::StoreError,
-    >| {
-        let mut retry = 0u32;
-        loop {
-            if let Some(kind) = policy.faults.store_open_fault() {
-                if is_transient_kind(kind)
-                    && !policy.strict
-                    && retry < ckpt_faults::MAX_ATTEMPTS - 1
-                {
-                    io_retry_pause(
-                        what,
-                        io_kind_name(kind),
-                        &mut retry,
-                        policy,
-                        telemetry,
-                        tally,
-                    );
-                    continue;
-                }
-                return Err(SweepError(format!(
-                    "{what}: injected io error ({})",
-                    io_kind_name(kind)
-                )));
-            }
-            match f() {
-                Ok(v) => return Ok(v),
-                Err(e)
-                    if e.is_transient()
-                        && !policy.strict
-                        && retry < ckpt_faults::MAX_ATTEMPTS - 1 =>
-                {
-                    io_retry_pause(what, &e.to_string(), &mut retry, policy, telemetry, tally);
-                }
-                Err(e) => return Err(fail(e)),
-            }
-        }
-    };
     let header = StoreHeader {
         spec_digest: ckpt::sweep_digest(sweep),
         seed: sweep.base.seed,
@@ -1064,11 +1023,19 @@ fn open_store(
     };
     let mut loaded = HashMap::new();
     let store = if config.resume && ckpt::store_exists(&path) {
-        let (store, records, open) =
-            open_guarded(&format!("opening {}", path.display()), &mut || {
-                SweepStore::open(&path)
-            })?;
-        store.header().validate_against(&header).map_err(fail)?;
+        let (store, records, open) = guarded_io(
+            policy,
+            telemetry,
+            IoOp::Open,
+            || format!("opening {}", path.display()),
+            StoreError::is_transient,
+            |_| SweepStore::open(&path),
+        )
+        .map_err(SweepError)?;
+        store
+            .header()
+            .validate_against(&header)
+            .map_err(|e| SweepError(e.to_string()))?;
         report.recovered = open.warning;
         for record in records {
             // The store guarantees index < grid_size; the digest ties the
@@ -1092,11 +1059,15 @@ fn open_store(
         store
     } else {
         report.fresh_start = config.resume;
-        let (store, _, _) = open_guarded(&format!("creating {}", path.display()), &mut || {
-            SweepStore::create(&path, header)
-                .map(|s| (s, Vec::new(), ckpt_store::OpenReport::default()))
-        })?;
-        store
+        guarded_io(
+            policy,
+            telemetry,
+            IoOp::Open,
+            || format!("creating {}", path.display()),
+            StoreError::is_transient,
+            |_| SweepStore::create(&path, header),
+        )
+        .map_err(SweepError)?
     };
     report.loaded = loaded.len();
     Ok((store, loaded, report))
@@ -1112,15 +1083,13 @@ fn run_sweep_inner(
     let n = sweep.grid_size();
     let cells = timed(telemetry, Phase::Plan, || sweep.cells())?;
     let cache = RunCache::default();
-    let tally = HealthTally::default();
 
     // Checkpointing: open/create the store and split the grid into cells
     // already on disk and cells still to evaluate. Without a config this
     // collapses to "everything is missing" and zero extra work.
     let (writer, loaded, mut report) = match config {
         Some(cfg) => {
-            let (store, loaded, report) =
-                open_store(sweep, &cells, cfg, policy, telemetry, &tally)?;
+            let (store, loaded, report) = open_store(sweep, &cells, cfg, policy, telemetry)?;
             let writer = Mutex::new(CkptWriter {
                 store,
                 written: 0,
@@ -1193,7 +1162,6 @@ fn run_sweep_inner(
                 &cache,
                 telemetry,
                 policy,
-                &tally,
             )?;
             if let Some(writer) = &writer {
                 // Persist at the worker's join point, after the replay is
@@ -1201,7 +1169,7 @@ fn run_sweep_inner(
                 // Quarantined cells are never persisted: the store holds
                 // only real results, so --resume re-evaluates them.
                 if cell.status.is_ok() {
-                    CkptWriter::persist(writer, &cells[i], &cell, telemetry, policy, &tally)?;
+                    CkptWriter::persist(writer, &cells[i], &cell, telemetry, policy)?;
                 }
             }
             Ok(cell)
@@ -1240,17 +1208,9 @@ fn run_sweep_inner(
             .map_err(|e| SweepError(format!("syncing checkpoint store: {e}")))?;
     }
     let cells_ok = result_cells.iter().filter(|c| c.status.is_ok()).count() as u64;
-    let health = RunHealth {
-        cells_ok,
-        cells_quarantined: result_cells.len() as u64 - cells_ok,
-        cell_retries: tally.cell_retries.load(Ordering::Relaxed),
-        io_retries: tally.io_retries.load(Ordering::Relaxed),
-        faults_injected: policy.faults.fired_total(),
-    };
-    if let Some(t) = telemetry {
-        t.counters
-            .add(Counter::FaultsInjected, health.faults_injected);
-    }
+    let health = policy
+        .faults
+        .health(cells_ok, result_cells.len() as u64 - cells_ok);
     Ok((
         SweepResult {
             name: sweep.name.clone(),

@@ -25,7 +25,9 @@
 //!   `ckpt-store` file as workers finish them, and
 //!   [`run_sweep_checkpointed`] resumes a killed sweep by loading
 //!   persisted cells and replaying only the missing ones — with exports
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run. Cell evaluation, store I/O
+//!   and (through [`guarded_io`]) the caller's export all retry in
+//!   `ckpt-faults`' one loop, so one health report covers them.
 //! * [`export`] — the per-cell results as CSV/JSON, streamed from borrowed
 //!   rows through `ckpt-report`'s shared row writers, or as an owned
 //!   [`ckpt_report::Frame`] built from the same rows.
@@ -72,8 +74,8 @@ pub mod sweep;
 pub use agg::MetricSummary;
 pub use ckpt::{CheckpointConfig, ResumeReport, CRASH_EXIT_CODE};
 pub use exec::{
-    run_sweep, run_sweep_checkpointed, run_sweep_ctx, run_sweep_guarded, run_sweep_telemetry,
-    CellResult, CellStatus, FaultPolicy, SweepOptions, SweepResult,
+    guarded_io, run_sweep, run_sweep_checkpointed, run_sweep_ctx, run_sweep_guarded,
+    run_sweep_telemetry, CellResult, CellStatus, FaultPolicy, SweepOptions, SweepResult,
 };
 pub use export::{csv_string, json_string, to_frame, write_outputs};
 pub use spec::{EngineKind, SampleFilter, ScenarioSpec, WorkloadTweaks};

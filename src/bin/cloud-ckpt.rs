@@ -15,14 +15,15 @@
 //! flags are hard errors instead of inert map entries.
 
 use cloud_ckpt::bench::registry;
-use cloud_ckpt::faults::{self, FaultPlan, FaultState};
+use cloud_ckpt::faults::{self, FaultPlan, FaultState, IoOp};
 use cloud_ckpt::obs::{Phase, Telemetry};
 use cloud_ckpt::policy::daly::daly_interval_count;
 use cloud_ckpt::policy::optimal::{expected_wall_clock, optimal_interval_count};
 use cloud_ckpt::policy::young::{young_interval, young_interval_count};
 use cloud_ckpt::report::{row, write_telemetry, ExpOutput, Format, Frame, RunContext, Scale, Sink};
 use cloud_ckpt::scenario::{
-    ckpt, run_sweep_guarded, write_outputs, CheckpointConfig, FaultPolicy, SweepOptions, SweepSpec,
+    ckpt, guarded_io, run_sweep_guarded, write_outputs, CheckpointConfig, FaultPolicy,
+    SweepOptions, SweepSpec,
 };
 use cloud_ckpt::sim::metrics::{mean_wpr, with_structure, wpr_ecdf};
 use cloud_ckpt::sim::policy::{Estimates, EstimatorKind, PolicyConfig};
@@ -94,6 +95,21 @@ USAGE:
   cloud-ckpt help
       Show this message.
 ";
+
+/// Why a command failed.
+enum CliError {
+    /// A mistake in choosing the command or its flags: printed with the
+    /// usage text.
+    Usage(String),
+    /// Any other failure: printed as its `error:` line alone.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
 
 /// The exact flags one subcommand accepts.
 struct FlagSpec {
@@ -211,12 +227,18 @@ fn parse_flags(args: &[String], spec: &FlagSpec) -> Result<HashMap<String, Strin
     Ok(map)
 }
 
-fn need<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<T, String> {
-    flags
+/// [`parse_flags`] for a command: a failure is a usage error.
+fn command_flags(args: &[String], spec: &FlagSpec) -> Result<HashMap<String, String>, CliError> {
+    parse_flags(args, spec).map_err(CliError::Usage)
+}
+
+fn need<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str) -> Result<T, CliError> {
+    let value = flags
         .get(key)
-        .ok_or(format!("missing required flag --{key}"))?
+        .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))?;
+    Ok(value
         .parse()
-        .map_err(|_| format!("flag --{key}: cannot parse {:?}", flags[key]))
+        .map_err(|_| format!("flag --{key}: cannot parse {value:?}"))?)
 }
 
 fn opt<T: std::str::FromStr>(
@@ -239,7 +261,7 @@ fn format_flag(flags: &HashMap<String, String>) -> Result<Format, String> {
     }
 }
 
-fn cmd_plan(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_plan(flags: HashMap<String, String>) -> Result<(), CliError> {
     let te: f64 = need(&flags, "te")?;
     let c: f64 = need(&flags, "ckpt-cost")?;
     let mnof: f64 = need(&flags, "mnof")?;
@@ -270,7 +292,7 @@ fn cmd_plan(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: HashMap<String, String>) -> Result<(), CliError> {
     let jobs: usize = need(&flags, "jobs")?;
     let seed: u64 = opt(&flags, "seed", cloud_ckpt::report::DEFAULT_SEED)?;
     let out: String = need(&flags, "out")?;
@@ -288,17 +310,17 @@ fn cmd_generate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
+fn load_trace(flags: &HashMap<String, String>) -> Result<Trace, CliError> {
     if let Some(path) = flags.get("trace") {
-        export::read_csv(path).map_err(|e| e.to_string())
+        Ok(export::read_csv(path).map_err(|e| e.to_string())?)
     } else {
         let jobs: usize = need(flags, "jobs")?;
         let seed: u64 = opt(flags, "seed", cloud_ckpt::report::DEFAULT_SEED)?;
-        generate(&WorkloadSpec::google_like(jobs), seed).map_err(|e| e.to_string())
+        Ok(generate(&WorkloadSpec::google_like(jobs), seed).map_err(|e| e.to_string())?)
     }
 }
 
-fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_replay(flags: HashMap<String, String>) -> Result<(), CliError> {
     let trace = load_trace(&flags)?;
     let limit: f64 = opt(&flags, "limit", f64::INFINITY)?;
     let format = format_flag(&flags)?;
@@ -306,14 +328,14 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         None | Some("priority") => EstimatorKind::PerPriority { limit },
         Some("oracle") => EstimatorKind::Oracle,
         Some("global") => EstimatorKind::Global { limit },
-        Some(other) => return Err(format!("unknown estimator {other:?}")),
+        Some(other) => return Err(format!("unknown estimator {other:?}").into()),
     };
     let base = match flags.get("policy").map(String::as_str) {
         None | Some("formula3") => PolicyConfig::formula3(),
         Some("young") => PolicyConfig::young(),
         Some("daly") => PolicyConfig::daly(),
         Some("none") => PolicyConfig::none(),
-        Some(other) => return Err(format!("unknown policy {other:?}")),
+        Some(other) => return Err(format!("unknown policy {other:?}").into()),
     };
     let cfg = base
         .with_estimator(estimator)
@@ -328,7 +350,9 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), String> {
         .filter(|r| sample.contains(&r.job_id))
         .collect();
     let Some(e) = wpr_ecdf(&recs) else {
-        return Err("no failure-prone sample jobs in this trace".into());
+        return Err(CliError::Failed(
+            "no failure-prone sample jobs in this trace".into(),
+        ));
     };
 
     // One summary frame, rendered by the shared writer: the replay report
@@ -455,17 +479,17 @@ fn parse_shards_flag(s: &str) -> Result<usize, String> {
     Ok(shards)
 }
 
-fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
     let spec_path: String = need(&flags, "spec")?;
     let out_dir: String = opt(&flags, "out", "results".to_string())?;
     let checkpoint = checkpoint_flags(&flags)?;
     let policy = fault_flags(&flags)?;
     if policy.faults.crash_after_cells().is_some() && checkpoint.is_none() {
-        return Err(
+        return Err(CliError::Failed(
             "the fault plan has a crash@cells directive but --checkpoint-dir is not set; \
              the crash hook only makes sense for a checkpointed sweep"
                 .into(),
-        );
+        ));
     }
     let (telemetry, telemetry_dir) = telemetry_flags(&flags);
     let parse_spec = || -> Result<SweepSpec, String> {
@@ -524,58 +548,34 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), String> {
         );
     }
     let elapsed = start.elapsed();
-    // Degraded-run reporting goes to stderr, never stdout: a clean run's
-    // stdout must stay byte-identical whether or not a plan was armed.
-    if result.health.degraded() || !policy.faults.is_empty() {
-        eprintln!("health: {}", result.health.summary());
-    }
 
     // Persist before printing the report: the exports must land even if
-    // stdout goes away mid-print (e.g. piped through `head`). Injected
-    // export faults and transient write errors retry with backoff like
-    // any other store I/O.
-    let write = || -> Result<_, String> {
-        let mut retry = 0u32;
-        loop {
-            let injected = policy.faults.export_fault();
-            let transient = match injected {
-                Some(kind) => {
-                    if !faults::is_transient_kind(kind) {
-                        return Err(format!(
-                            "writing outputs: injected io error ({})",
-                            faults::io_kind_name(kind)
-                        ));
-                    }
-                    Some(faults::io_kind_name(kind).to_string())
-                }
-                None => match write_outputs(&sweep, &result, &out_dir) {
-                    Ok(paths) => return Ok(paths),
-                    Err(e) if faults::is_transient_kind(e.kind()) && !policy.strict => {
-                        Some(e.to_string())
-                    }
-                    Err(e) => return Err(e.to_string()),
-                },
-            };
-            let detail = transient.expect("non-transient outcomes returned above");
-            if policy.strict || retry >= faults::MAX_ATTEMPTS - 1 {
-                return Err(format!("writing outputs: io error ({detail})"));
-            }
-            eprintln!(
-                "sweep: transient io failure writing outputs ({detail}); retry {}/{}",
-                retry + 1,
-                faults::MAX_ATTEMPTS - 1
-            );
-            if let Some(t) = &telemetry {
-                t.counters.add(cloud_ckpt::obs::Counter::IoRetries, 1);
-            }
-            policy.faults.sleep_backoff(retry);
-            retry += 1;
-        }
+    // stdout goes away mid-print (e.g. piped through `head`). Export
+    // faults retry like any other guarded I/O.
+    let write = || {
+        guarded_io(
+            &policy,
+            telemetry.as_deref(),
+            IoOp::Export,
+            || "writing outputs".to_string(),
+            |e: &std::io::Error| faults::is_transient_kind(e.kind()),
+            |_| write_outputs(&sweep, &result, &out_dir),
+        )
     };
-    let (csv, json) = match &telemetry {
-        Some(t) => t.timers.time(Phase::Export, write)?,
-        None => write()?,
+    let written = match &telemetry {
+        Some(t) => t.timers.time(Phase::Export, write),
+        None => write(),
     };
+    // Degraded-run reporting goes to stderr, never stdout: a clean run's
+    // stdout must stay byte-identical whether or not a plan was armed.
+    // It comes after the export, so it covers every guarded operation.
+    if result.health.degraded() || !policy.faults.is_empty() {
+        let health = policy
+            .faults
+            .health(result.health.cells_ok, result.health.cells_quarantined);
+        eprintln!("health: {}", health.summary());
+    }
+    let (csv, json) = written?;
     if let Some(t) = &telemetry {
         finish_telemetry(t, telemetry_dir.as_deref())?;
     }
@@ -747,13 +747,15 @@ fn run_experiments(ids: &[String], flags: &HashMap<String, String>) -> Result<()
     Ok(())
 }
 
-fn cmd_exp(args: &[String]) -> Result<(), String> {
+fn cmd_exp(args: &[String]) -> Result<(), CliError> {
     let Some(sub) = args.first().map(String::as_str) else {
-        return Err("exp needs a subcommand: list | run <id...> | all".into());
+        return Err(CliError::Usage(
+            "exp needs a subcommand: list | run <id...> | all".into(),
+        ));
     };
     match sub {
         "list" => {
-            let flags = parse_flags(&args[1..], &EXP_LIST_FLAGS)?;
+            let flags = command_flags(&args[1..], &EXP_LIST_FLAGS)?;
             let format = format_flag(&flags)?;
             let mut out = ExpOutput::new();
             out.push(registry::catalog());
@@ -768,21 +770,21 @@ fn cmd_exp(args: &[String]) -> Result<(), String> {
                 rest += 1;
             }
             if ids.is_empty() {
-                return Err(
+                return Err(CliError::Usage(
                     "exp run needs at least one experiment id (see `cloud-ckpt exp list`)".into(),
-                );
+                ));
             }
-            let flags = parse_flags(&args[rest..], &EXP_RUN_FLAGS)?;
-            run_experiments(&ids, &flags)
+            let flags = command_flags(&args[rest..], &EXP_RUN_FLAGS)?;
+            Ok(run_experiments(&ids, &flags)?)
         }
         "all" => {
-            let flags = parse_flags(&args[1..], &EXP_RUN_FLAGS)?;
+            let flags = command_flags(&args[1..], &EXP_RUN_FLAGS)?;
             let ids: Vec<String> = registry::ids().iter().map(|s| s.to_string()).collect();
-            run_experiments(&ids, &flags)
+            Ok(run_experiments(&ids, &flags)?)
         }
-        other => Err(format!(
+        other => Err(CliError::Usage(format!(
             "unknown exp subcommand {other:?} (accepted: list, run, all)"
-        )),
+        ))),
     }
 }
 
@@ -793,22 +795,26 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match cmd {
-        "plan" => parse_flags(&args[1..], &PLAN_FLAGS).and_then(cmd_plan),
-        "generate" => parse_flags(&args[1..], &GENERATE_FLAGS).and_then(cmd_generate),
-        "replay" => parse_flags(&args[1..], &REPLAY_FLAGS).and_then(cmd_replay),
-        "sweep" => parse_flags(&args[1..], &SWEEP_FLAGS).and_then(cmd_sweep),
+        "plan" => command_flags(&args[1..], &PLAN_FLAGS).and_then(cmd_plan),
+        "generate" => command_flags(&args[1..], &GENERATE_FLAGS).and_then(cmd_generate),
+        "replay" => command_flags(&args[1..], &REPLAY_FLAGS).and_then(cmd_replay),
+        "sweep" => command_flags(&args[1..], &SWEEP_FLAGS).and_then(cmd_sweep),
         "exp" => cmd_exp(&args[1..]),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}\n");
             eprint!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }

@@ -409,7 +409,10 @@ fn duplicate_and_unknown_flags_are_rejected() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("duplicate flag --jobs"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("duplicate flag --jobs"), "{err}");
+    // Flag mistakes are usage errors: the usage text follows.
+    assert!(err.contains("USAGE:"), "{err}");
 
     let out = cli()
         .args(["replay", "--jbos", "10", "--polcy", "young"])
@@ -419,6 +422,7 @@ fn duplicate_and_unknown_flags_are_rejected() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--jbos"), "{err}");
     assert!(err.contains("--polcy"), "{err}");
+    assert!(err.contains("USAGE:"), "{err}");
 }
 
 #[test]
@@ -428,7 +432,10 @@ fn sweep_rejects_missing_or_bad_specs() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read spec"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot read spec"), "{err}");
+    // A spec error is not a usage mistake: its error line stands alone.
+    assert!(!err.contains("USAGE:"), "{err}");
 
     let bad = tmp("bad_spec");
     std::fs::write(&bad, "[axes]\npolicy = [\"zebra\"]\n").unwrap();
@@ -438,7 +445,9 @@ fn sweep_rejects_missing_or_bad_specs() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("zebra"));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("zebra"), "{err}");
+    assert!(!err.contains("USAGE:"), "{err}");
     std::fs::remove_file(&bad).ok();
 }
 

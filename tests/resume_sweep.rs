@@ -572,11 +572,14 @@ fn eventually_transient_faults_leave_stdout_and_outputs_byte_identical() {
 
     // Same run with a transient cell fault and a transient export fault:
     // retries happen (stderr), results and stdout don't move.
+    let tel_dir = tmp("transient_tel");
     let faulted = cli()
         .args(["sweep", "--threads", "2", "--spec"])
         .arg(&spec)
         .arg("--out")
         .arg(&out_dir)
+        .arg("--telemetry")
+        .arg(&tel_dir)
         .args([
             "--inject",
             "budget@cell=1:times=2; io_error@export=1:times=1",
@@ -591,7 +594,15 @@ fn eventually_transient_faults_leave_stdout_and_outputs_byte_identical() {
     let err = String::from_utf8_lossy(&faulted.stderr);
     assert!(err.contains("cell 1 failed"), "{err}");
     assert!(err.contains("writing outputs"), "{err}");
-    assert!(err.contains("health: 4 cells ok, 0 quarantined"), "{err}");
+    // One tally: the export's fault and retry count like the cell's, in
+    // the health line and the counter frame alike.
+    assert!(
+        err.lines().any(|l| l
+            == "health: 4 cells ok, 0 quarantined, 2 cell retries, 1 io retry, 3 faults injected"),
+        "{err}"
+    );
+    assert_eq!(counter_value(&tel_dir, "io_retries"), 1);
+    assert_eq!(counter_value(&tel_dir, "faults_injected"), 3);
     assert_eq!(read_outputs(&out_dir, "small"), clean_outputs);
     assert_eq!(
         strip_wallclock(&faulted.stdout),
@@ -618,6 +629,7 @@ fn eventually_transient_faults_leave_stdout_and_outputs_byte_identical() {
     assert_eq!(read_outputs(&out_dir, "small"), clean_outputs);
 
     std::fs::remove_dir_all(&out_dir).ok();
+    std::fs::remove_dir_all(&tel_dir).ok();
     std::fs::remove_file(&spec).ok();
 }
 
