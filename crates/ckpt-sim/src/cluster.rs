@@ -37,12 +37,11 @@
 //!   skipping them changes no results, only wasted heap traffic;
 //! * per-host occupant lists make whole-host failures O(victims), not
 //!   O(all tasks);
-//! * metrics accumulate in streaming form when asked
-//!   ([`MetricsMode::Streaming`]) so million-checkpoint runs don't grow
-//!   per-event `Vec`s;
-//! * [`SimBudget::progress_every`] hands [`SimProgress`] snapshots to a
+//! * [`MetricsMode::Streaming`] keeps no per-checkpoint sample, so
+//!   million-checkpoint runs don't grow per-event `Vec`s;
+//! * [`SimBudget::progress_every`] hands the processed-event count to a
 //!   callback while a long run is in flight — the sharded runner
-//!   ([`crate::shard`]) forwards them into `--progress` heartbeats;
+//!   ([`crate::shard`]) forwards it into `--progress` heartbeats;
 //! * the engine is generic over an [`Observer`] (default [`ckpt_obs::NoObs`],
 //!   which compiles every counter hook to nothing); attach a
 //!   [`ckpt_obs::Counters`] cell via [`ClusterSim::with_observer`] and run
@@ -61,7 +60,7 @@
 
 use crate::blcr::{BlcrModel, Device};
 use crate::event::FastQueue;
-use crate::metrics::{JobRecord, StreamStats};
+use crate::metrics::JobRecord;
 use crate::policy::{plan_task, Estimates, PolicyConfig};
 use crate::storage::{OpId, PsResource};
 use crate::task_sim::{next_checkpoint_in, TaskOutcome};
@@ -69,7 +68,6 @@ use crate::task_store::{TaskState, TaskStore, NO_HOST, NO_TASK};
 use crate::time::{SimDuration, SimTime};
 use ckpt_obs::{Counter, NoObs, Observer};
 use ckpt_stats::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
-use ckpt_stats::sketch::QuantileSketch;
 use ckpt_trace::failure::{sample_task_plan, FailureModelSpec, FailureProcess, HazardProcess};
 use ckpt_trace::gen::{JobStructure, Trace};
 use ckpt_trace::plan::FailurePlanArena;
@@ -123,11 +121,9 @@ pub enum MetricsMode {
     /// historical engine.
     #[default]
     Full,
-    /// Stream durations into [`StreamStats`] plus a mergeable quantile
-    /// sketch only — constant memory, for stress-scale runs where a raw
-    /// `Vec` would grow per event.
-    /// [`ClusterRunResult::checkpoint_durations`] stays empty;
-    /// [`ClusterRunResult::checkpoint_sketch`] keeps the order statistics.
+    /// Keep no per-checkpoint sample — constant memory, for stress-scale
+    /// runs where a raw `Vec` would grow per event.
+    /// [`ClusterRunResult::checkpoint_durations`] stays empty.
     Streaming,
 }
 
@@ -142,22 +138,6 @@ pub struct SimBudget {
 impl SimBudget {
     /// No progress reporting.
     pub const UNLIMITED: SimBudget = SimBudget { progress_every: 0 };
-}
-
-/// A progress snapshot handed to the [`ClusterSim::run_observed`]
-/// callback every [`SimBudget::progress_every`] events. The sharded
-/// runner turns these into `--progress` heartbeats, so stress cluster
-/// cells report partial event counts while they run.
-#[derive(Debug, Clone, Copy)]
-pub struct SimProgress {
-    /// Events processed so far.
-    pub events: u64,
-    /// Current simulated time.
-    pub sim_time: SimTime,
-    /// Tasks that have completed.
-    pub tasks_done: usize,
-    /// Total tasks in the workload.
-    pub tasks_total: usize,
 }
 
 /// One job's result from a cluster run.
@@ -180,14 +160,6 @@ pub struct ClusterRunResult {
     /// Durations of all completed checkpoints (for Table 2/3 style
     /// contention measurements). Empty under [`MetricsMode::Streaming`].
     pub checkpoint_durations: Vec<f64>,
-    /// Streaming summary of completed checkpoint durations (populated in
-    /// both metrics modes).
-    pub checkpoint_stats: StreamStats,
-    /// Mergeable quantile sketch of completed checkpoint durations
-    /// (populated in both metrics modes), so order statistics survive
-    /// [`MetricsMode::Streaming`] runs where the raw duration `Vec` never
-    /// materializes.
-    pub checkpoint_sketch: QuantileSketch,
     /// Highest number of simultaneously in-flight shared-disk checkpoints.
     pub max_concurrent_checkpoints: usize,
     /// Total simulated time.
@@ -256,8 +228,6 @@ pub struct ClusterSim<'a, O: Observer = NoObs> {
     host_process: Option<HazardProcess>,
     metrics_mode: MetricsMode,
     ckpt_durations: Vec<f64>,
-    ckpt_stats: StreamStats,
-    ckpt_sketch: QuantileSketch,
     max_concurrent: usize,
     host_failures: u64,
     /// Kill-plan provenance recorded at build time (one lookup per task):
@@ -415,8 +385,6 @@ impl<'a> ClusterSim<'a> {
             host_process: cfg.host_mtbf_s.map(|mtbf| cfg.failure_model.process(mtbf)),
             metrics_mode: MetricsMode::Full,
             ckpt_durations: Vec::new(),
-            ckpt_stats: StreamStats::default(),
-            ckpt_sketch: QuantileSketch::new(),
             max_concurrent: 0,
             host_failures: 0,
             plan_lookups: 0,
@@ -484,8 +452,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             host_process: self.host_process,
             metrics_mode: self.metrics_mode,
             ckpt_durations: self.ckpt_durations,
-            ckpt_stats: self.ckpt_stats,
-            ckpt_sketch: self.ckpt_sketch,
             max_concurrent: self.max_concurrent,
             host_failures: self.host_failures,
             plan_lookups: self.plan_lookups,
@@ -769,8 +735,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         let pos = self.store.run_base[ti];
         self.store.durable[ti] = pos;
         self.store.outcome[ti].complete_checkpoint(pos, duration, &mut self.store.controller[ti]);
-        self.ckpt_stats.add(duration);
-        self.ckpt_sketch.add(duration);
         if self.metrics_mode == MetricsMode::Full {
             self.ckpt_durations.push(duration);
         }
@@ -836,14 +800,16 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         self.run_observed(SimBudget::UNLIMITED, |_| {}).0
     }
 
-    /// Run to completion, reporting [`SimProgress`] every
-    /// [`SimBudget::progress_every`] events, and return the observer with
+    /// Run to completion, handing the processed-event count to
+    /// `on_progress` every [`SimBudget::progress_every`] events (the
+    /// sharded runner turns it into `--progress` heartbeats), and return
+    /// the observer with
     /// the counters it collected. The observer never perturbs the
     /// simulation: results are bit-identical to the [`NoObs`] build.
     pub fn run_observed(
         mut self,
         budget: SimBudget,
-        mut on_progress: impl FnMut(&SimProgress),
+        mut on_progress: impl FnMut(u64),
     ) -> (ClusterRunResult, O) {
         while let Some((time, ev)) = self.next_event() {
             debug_assert!(time >= self.now);
@@ -972,12 +938,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 }
             }
             if budget.progress_every > 0 && self.events.is_multiple_of(budget.progress_every) {
-                on_progress(&SimProgress {
-                    events: self.events,
-                    sim_time: self.now,
-                    tasks_done: self.store.len() - self.tasks_remaining,
-                    tasks_total: self.store.len(),
-                });
+                on_progress(self.events);
             }
         }
         if O::ENABLED {
@@ -1028,8 +989,6 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         ClusterRunResult {
             jobs,
             checkpoint_durations: self.ckpt_durations,
-            checkpoint_stats: self.ckpt_stats,
-            checkpoint_sketch: self.ckpt_sketch,
             max_concurrent_checkpoints: self.max_concurrent,
             makespan: self.last_activity,
             host_failures: self.host_failures,
@@ -1354,26 +1313,9 @@ mod tests {
         .run();
         // Same simulation, same jobs; only the raw-duration Vec differs.
         assert_eq!(full.jobs, streaming.jobs);
+        assert_eq!(full.events, streaming.events);
+        assert!(!full.checkpoint_durations.is_empty());
         assert!(streaming.checkpoint_durations.is_empty());
-        assert_eq!(full.checkpoint_stats, streaming.checkpoint_stats);
-        assert_eq!(
-            full.checkpoint_stats.count,
-            full.checkpoint_durations.len() as u64
-        );
-        let naive_sum: f64 = full.checkpoint_durations.iter().sum();
-        assert!((full.checkpoint_stats.total - naive_sum).abs() < 1e-9);
-        // The duration sketch is identical in both modes and its median
-        // tracks the exact one within the documented bound.
-        assert_eq!(full.checkpoint_sketch, streaming.checkpoint_sketch);
-        let mut sorted = full.checkpoint_durations.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let exact_p50 = sorted[((0.5 * sorted.len() as f64).ceil() as usize).max(1) - 1];
-        let p50 = streaming.checkpoint_sketch.quantile(0.5);
-        assert!(
-            (p50 - exact_p50).abs()
-                <= streaming.checkpoint_sketch.relative_error_bound() * exact_p50,
-            "sketch p50 {p50} vs exact {exact_p50}"
-        );
     }
 
     #[test]
@@ -1393,20 +1335,14 @@ mod tests {
             &est,
             PolicyConfig::formula3(),
         )
-        .run_observed(SimBudget { progress_every: 1 }, |p| snapshots.push(*p));
+        .run_observed(SimBudget { progress_every: 1 }, |events| {
+            snapshots.push(events)
+        });
         assert_eq!(result.events, full.events);
         assert_eq!(result.tasks_done, trace.task_count());
         // progress_every = 1 ticks once per processed event, including
-        // stale/drained ones.
-        assert_eq!(snapshots.len() as u64, full.events);
-        // Progress is monotone in events, sim time, and completed tasks.
-        for w in snapshots.windows(2) {
-            assert!(w[0].events < w[1].events);
-            assert!(w[0].sim_time <= w[1].sim_time);
-            assert!(w[0].tasks_done <= w[1].tasks_done);
-        }
-        assert_eq!(snapshots[0].tasks_total, trace.task_count());
-        assert_eq!(snapshots.last().unwrap().tasks_done, trace.task_count());
+        // stale/drained ones: the k-th tick reports k events.
+        assert_eq!(snapshots, (1..=full.events).collect::<Vec<_>>());
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod task_store;
 pub mod time;
 
 pub use blcr::{BlcrModel, Device, Migration};
-pub use cluster::{ClusterSim, MetricsMode, SimBudget, SimProgress};
-pub use metrics::{JobRecord, StreamStats};
+pub use cluster::{ClusterSim, MetricsMode, SimBudget};
+pub use metrics::JobRecord;
 pub use policy::{CostTweak, Estimates, EstimatorKind, PolicyConfig, StorageChoice};
 pub use runner::{parallel_indexed, run_trace, RunOptions};
 pub use shard::{shard_of, ShardPlan, ShardedClusterSim};

@@ -16,51 +16,6 @@ use ckpt_stats::summary::OnlineStats;
 use ckpt_trace::gen::JobStructure;
 use std::collections::HashMap;
 
-/// Constant-memory accumulator for a stream of observations — the
-/// batched/streaming alternative to collecting raw per-event `Vec`s in
-/// stress-scale runs (see [`crate::cluster::MetricsMode`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamStats {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub total: f64,
-    /// Largest observation (0 when empty).
-    pub max: f64,
-}
-
-impl StreamStats {
-    /// Ingest one observation.
-    #[inline]
-    pub fn add(&mut self, v: f64) {
-        self.count += 1;
-        self.total += v;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Mean of the observations (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.total / self.count as f64
-        }
-    }
-
-    /// Fold another summary in. Count and max merge order-free; the total
-    /// is a float sum, so deterministic consumers (the sharded cluster
-    /// runner's fold) must merge in a fixed order.
-    pub fn merge(&mut self, other: &StreamStats) {
-        self.count += other.count;
-        self.total += other.total;
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-}
-
 /// Mergeable constant-memory summary of a value stream: count, total,
 /// min, max. The streaming fast path ([`crate::runner::run_trace_stream`])
 /// folds one of these per metric per fixed job block, then merges block
@@ -419,18 +374,5 @@ mod tests {
         assert!(wpr_ecdf(&[]).is_none());
         assert!(mean_wpr(&[]).is_nan());
         assert!(lowest_wpr(&[]).is_nan());
-    }
-
-    #[test]
-    fn stream_stats_accumulate() {
-        let mut s = StreamStats::default();
-        assert!(s.mean().is_nan());
-        for v in [2.0, 4.0, 3.0] {
-            s.add(v);
-        }
-        assert_eq!(s.count, 3);
-        assert_eq!(s.total, 9.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
     }
 }
