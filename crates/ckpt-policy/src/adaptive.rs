@@ -202,12 +202,6 @@ impl AdaptiveCheckpointer {
     pub fn resolve_count(&self) -> u32 {
         self.resolves
     }
-
-    /// Whether this controller adapts to MNOF changes.
-    #[inline]
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
 }
 
 /// Theorem 2, checked numerically: with unchanged MNOF, the optimal interval

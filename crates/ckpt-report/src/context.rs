@@ -152,12 +152,6 @@ impl RunContext {
         self
     }
 
-    /// Override the output sink.
-    pub fn with_sink(mut self, sink: Sink) -> Self {
-        self.sink = sink;
-        self
-    }
-
     /// Attach a telemetry bundle; sweeps and experiments running under
     /// this context will count into it (and heartbeat, if it carries a
     /// progress sink).

@@ -60,8 +60,6 @@ pub struct Sink {
     /// Format used for the per-frame files (legacy experiment binaries
     /// print tables but persist CSV).
     pub file_format: Format,
-    /// Suppress stream output entirely (file-only mode).
-    pub quiet: bool,
 }
 
 impl Sink {
@@ -72,7 +70,6 @@ impl Sink {
             format: Format::Table,
             dir: None,
             file_format: Format::Csv,
-            quiet: false,
         }
     }
 
@@ -82,7 +79,6 @@ impl Sink {
             format,
             dir: None,
             file_format: format,
-            quiet: false,
         }
     }
 
@@ -98,12 +94,6 @@ impl Sink {
         self
     }
 
-    /// Suppress stream output.
-    pub fn silent(mut self) -> Self {
-        self.quiet = true;
-        self
-    }
-
     fn render(frame: &Frame, format: Format) -> String {
         match format {
             Format::Table => frame.to_table(),
@@ -116,25 +106,23 @@ impl Sink {
     /// directory is attached, write one file per frame. Returns the file
     /// paths written.
     pub fn emit_to(&self, output: &ExpOutput, w: &mut dyn Write) -> std::io::Result<Vec<PathBuf>> {
-        if !self.quiet {
-            match self.format {
-                Format::Json => {
-                    // One document for the whole output, notes included.
-                    w.write_all(output.to_json().as_bytes())?;
+        match self.format {
+            Format::Json => {
+                // One document for the whole output, notes included.
+                w.write_all(output.to_json().as_bytes())?;
+            }
+            Format::Table => {
+                for frame in &output.frames {
+                    w.write_all(frame.to_table().as_bytes())?;
                 }
-                Format::Table => {
-                    for frame in &output.frames {
-                        w.write_all(frame.to_table().as_bytes())?;
-                    }
-                    for note in &output.notes {
-                        writeln!(w, "\n{note}")?;
-                    }
+                for note in &output.notes {
+                    writeln!(w, "\n{note}")?;
                 }
-                Format::Csv => {
-                    for frame in &output.frames {
-                        writeln!(w, "# frame: {}", frame.name)?;
-                        w.write_all(frame.to_csv().as_bytes())?;
-                    }
+            }
+            Format::Csv => {
+                for frame in &output.frames {
+                    writeln!(w, "# frame: {}", frame.name)?;
+                    w.write_all(frame.to_csv().as_bytes())?;
                 }
             }
         }
@@ -197,7 +185,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ckpt_report_sink_{}", std::process::id()));
         let paths = Sink::new(Format::Json)
             .with_dir(&dir)
-            .silent()
             .emit_to(&output(), &mut Vec::new())
             .unwrap();
         assert_eq!(paths.len(), 1);

@@ -191,17 +191,6 @@ impl Schedule for Controller {
     }
 }
 
-impl Controller {
-    /// Number of planned checkpoints remaining from the current durable
-    /// position (diagnostic).
-    pub fn planned_remaining(&self) -> Option<usize> {
-        match self {
-            Controller::Fixed(f) => Some((f.count - f.next_idx) as usize),
-            Controller::Adaptive(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +232,6 @@ mod tests {
         assert_eq!(c.next_checkpoint(), None);
         c.on_rollback(0.0);
         assert_eq!(c.next_checkpoint(), None);
-        assert_eq!(c.planned_remaining(), Some(0));
     }
 
     #[test]
@@ -261,13 +249,5 @@ mod tests {
         assert!(c.on_mnof_change(32.0)); // 16× failures ⇒ 4× checkpoints
         let new_first = c.next_checkpoint().unwrap();
         assert!(new_first < first, "{new_first} vs {first}");
-    }
-
-    #[test]
-    fn planned_remaining_counts_down() {
-        let mut c = fixed(100.0, 4);
-        assert_eq!(c.planned_remaining(), Some(3));
-        c.on_checkpoint_complete(25.0);
-        assert_eq!(c.planned_remaining(), Some(2));
     }
 }

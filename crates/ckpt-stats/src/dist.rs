@@ -8,7 +8,7 @@
 //! platforms — no dependency on external RNG crates' value streams.
 
 use crate::rng::Rng64;
-use crate::solve::{erfc, gamma_p, inv_norm_cdf, ln_factorial, ln_gamma};
+use crate::solve::{erfc, gamma_p, inv_norm_cdf, ln_gamma};
 use crate::{Result, StatsError};
 
 /// A continuous univariate distribution.
@@ -737,11 +737,6 @@ impl Poisson {
     #[inline]
     pub fn lambda(&self) -> f64 {
         self.lambda
-    }
-
-    /// Probability mass at `k`.
-    pub fn pmf(&self, k: u64) -> f64 {
-        (k as f64 * self.lambda.ln() - self.lambda - ln_factorial(k)).exp()
     }
 }
 

@@ -30,15 +30,6 @@ impl Ecdf {
         Ok(Self { sorted })
     }
 
-    /// Build from an already-sorted vector (checked in debug builds only).
-    pub fn from_sorted(sorted: Vec<f64>) -> Result<Self> {
-        if sorted.is_empty() {
-            return Err(StatsError::BadInput("ecdf: empty sample set"));
-        }
-        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
-        Ok(Self { sorted })
-    }
-
     /// Number of underlying samples.
     #[inline]
     pub fn len(&self) -> usize {
@@ -87,12 +78,6 @@ impl Ecdf {
         self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 
-    /// The underlying sorted samples.
-    #[inline]
-    pub fn sorted_samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Extract `n` plot-ready `(x, F(x))` points, uniformly spaced in
     /// probability — exactly what the paper's CDF figures plot.
     pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
@@ -103,12 +88,6 @@ impl Ecdf {
                 (self.quantile(q), q)
             })
             .collect()
-    }
-
-    /// Fraction of samples ≤ `limit` — e.g. the paper's "over 63 % of failure
-    /// intervals last less than 1000 seconds".
-    pub fn fraction_below(&self, limit: f64) -> f64 {
-        self.cdf(limit)
     }
 
     /// Two-sided Kolmogorov–Smirnov statistic against an analytic CDF.
@@ -209,14 +188,6 @@ mod tests {
     fn fraction_below_matches_paper_usage() {
         let samples: Vec<f64> = (1..=100).map(|i| i as f64 * 20.0).collect(); // 20..2000
         let e = Ecdf::new(&samples).unwrap();
-        assert!((e.fraction_below(1000.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_sorted_equivalent() {
-        let raw = vec![5.0, 1.0, 3.0];
-        let a = Ecdf::new(&raw).unwrap();
-        let b = Ecdf::from_sorted(vec![1.0, 3.0, 5.0]).unwrap();
-        assert_eq!(a, b);
+        assert!((e.cdf(1000.0) - 0.5).abs() < 1e-12);
     }
 }

@@ -173,30 +173,6 @@ impl Xoshiro256StarStar {
         assert!(s != [0, 0, 0, 0], "xoshiro256** state must be non-zero");
         Self { s }
     }
-
-    /// Jump ahead by 2^128 steps (for manual stream splitting, mostly useful
-    /// in tests).
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut s = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j & (1u64 << b)) != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                let _ = self.next_u64();
-            }
-        }
-        self.s = s;
-    }
 }
 
 impl Rng64 for Xoshiro256StarStar {
@@ -367,14 +343,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_state_rejected() {
         let _ = Xoshiro256StarStar::from_state([0; 4]);
-    }
-
-    #[test]
-    fn jump_changes_state() {
-        let mut a = Xoshiro256StarStar::new(5);
-        let b = a.clone();
-        a.jump();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -217,12 +217,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// Natural log of `n!` via `ln_gamma`.
-#[inline]
-pub fn ln_factorial(n: u64) -> f64 {
-    ln_gamma(n as f64 + 1.0)
-}
-
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a, x)/Γ(a)`
 /// (Numerical Recipes 6.2: series for `x < a+1`, continued fraction
 /// otherwise). Accurate to ~1e-12 over the ranges used here.

@@ -369,16 +369,6 @@ impl FailureKind {
         }
     }
 
-    /// The default shape parameter for kinds that take one.
-    pub fn default_shape(&self) -> Option<f64> {
-        match self {
-            FailureKind::Exponential | FailureKind::TraceReplay => None,
-            FailureKind::Weibull => Some(0.7),
-            FailureKind::LogNormal => Some(1.0),
-            FailureKind::Pareto => Some(1.5),
-        }
-    }
-
     /// Build a validated [`FailureModelSpec`], rejecting bad or
     /// inapplicable parameters with messages naming the offending spec
     /// field (`failure_shape` / `failure_scale`).
