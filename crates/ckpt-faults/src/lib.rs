@@ -47,7 +47,7 @@ use std::time::Duration;
 /// Maximum attempts per guarded operation (one initial try plus
 /// `MAX_ATTEMPTS - 1` retries). An operation still failing after this
 /// many attempts is quarantined (cell evaluation) or escalated to a run
-/// error (store I/O).
+/// error (store and export I/O).
 pub const MAX_ATTEMPTS: u32 = 4;
 
 /// Backoff before retry number `retry` (0-based): 1 ms, then 5 ms, then
