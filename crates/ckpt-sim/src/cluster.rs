@@ -1293,6 +1293,209 @@ mod tests {
         }
     }
 
+    /// Plan data a tie case writes into the store after `build`, so that
+    /// kills land exactly on phase boundaries: every task is 100 s long
+    /// and the costs are whole seconds, so each boundary is an exact
+    /// microsecond.
+    struct TieCase {
+        name: &'static str,
+        cfg: ClusterConfig,
+        policy: PolicyConfig,
+        ckpt_cost: f64,
+        restart_cost: f64,
+        /// `Some((te, x))`: replace every controller with the fixed
+        /// schedule of `x` intervals over `te` seconds.
+        schedule: Option<(f64, u32)>,
+        /// Busy-time kill positions by dense task id.
+        kills: fn(usize) -> Vec<f64>,
+    }
+
+    fn rewrite_plans(sim: &mut ClusterSim<'_>, case: &TieCase) {
+        let s = &mut sim.store;
+        s.kill_off.clear();
+        s.kill_pos.clear();
+        s.kill_off.push(0);
+        for t in 0..s.len() {
+            s.kill_cursor[t] = s.kill_off[t];
+            s.kill_pos.extend((case.kills)(t));
+            s.kill_off.push(s.kill_pos.len() as u32);
+            s.ckpt_cost[t] = case.ckpt_cost;
+            s.restart_cost[t] = case.restart_cost;
+            if let Some((te, x)) = case.schedule {
+                let schedule = ckpt_policy::schedule::EquidistantSchedule::new(te, x).unwrap();
+                s.controller[t] = crate::controller::Controller::Fixed(
+                    crate::controller::FixedSchedule::new(&schedule),
+                );
+            }
+        }
+    }
+
+    /// Ties and edge cases of the DES's phase boundaries, pinned by one
+    /// digest over every case's job records, Full-mode checkpoint
+    /// durations, makespan and event count. Every task writes to ramdisk,
+    /// runs 100 s on a six-slot cluster (so tasks start when others end),
+    /// and its kills sit on exact phase boundaries: with `x = 4` and
+    /// `C = 2`, the milestones fall at busy 25, 52, 79 and the writes end
+    /// at busy 27, 54, 81.
+    #[test]
+    fn phase_boundary_ties_and_edge_cases_are_pinned() {
+        fn fnv(h: u64, v: u64) -> u64 {
+            (h ^ v).wrapping_mul(0x100000001b3)
+        }
+        let mut spec = WorkloadSpec::google_like(30);
+        spec.long_task_fraction = 0.0;
+        let mut trace = generate(&spec, 41).expect("valid workload spec");
+        for job in &mut trace.jobs {
+            for t in &mut job.tasks {
+                t.length_s = 100.0;
+            }
+        }
+        let est = Estimates::from_records(&trace_histories(&trace));
+        let small = ClusterConfig {
+            n_hosts: 3,
+            vms_per_host: 2,
+            ..ClusterConfig::default()
+        };
+        let ramdisk = PolicyConfig::formula3().with_storage(StorageChoice::Force(Device::Ramdisk));
+        let base = TieCase {
+            name: "",
+            cfg: small,
+            policy: ramdisk,
+            ckpt_cost: 2.0,
+            restart_cost: 3.0,
+            schedule: Some((100.0, 4)),
+            kills: |_| Vec::new(),
+        };
+        let cases = [
+            TieCase {
+                name: "kill_at_run_milestone",
+                kills: |t| match t % 3 {
+                    0 => vec![25.0],
+                    1 => vec![52.0, 79.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "kill_at_write_end",
+                kills: |t| match t % 3 {
+                    0 => vec![27.0],
+                    1 => vec![54.0, 81.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "kill_at_phase_start_and_same_busy_time",
+                kills: |t| match t % 3 {
+                    0 => vec![0.0],
+                    1 => vec![30.0, 30.0],
+                    _ => vec![27.0, 27.0],
+                },
+                ..base
+            },
+            TieCase {
+                name: "zero_ckpt_cost",
+                ckpt_cost: 0.0,
+                kills: |t| match t % 3 {
+                    0 => vec![50.0],
+                    1 => vec![25.0, 60.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "run_phases_round_to_zero_us",
+                // Checkpoints at 0.4, 0.8 and 1.2 µs of progress.
+                schedule: Some((1.6e-6, 4)),
+                kills: |t| match t % 3 {
+                    0 => vec![2.0],
+                    1 => vec![4.0, 50.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "zero_length_phases",
+                ckpt_cost: 0.0,
+                schedule: Some((1.6e-6, 4)),
+                kills: |t| match t % 2 {
+                    0 => vec![0.0, 40.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "x_equals_one",
+                schedule: Some((100.0, 1)),
+                kills: |t| match t % 2 {
+                    0 => vec![40.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "adaptive_controller",
+                policy: ramdisk.with_adaptivity(true),
+                schedule: None,
+                kills: |t| match t % 3 {
+                    0 => vec![25.0],
+                    1 => vec![40.0, 41.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+            TieCase {
+                name: "host_failures",
+                cfg: ClusterConfig {
+                    host_mtbf_s: Some(400.0),
+                    ..small
+                },
+                kills: |t| match t % 3 {
+                    0 => vec![52.0],
+                    1 => vec![27.0],
+                    _ => vec![],
+                },
+                ..base
+            },
+        ];
+        let mut h = 0xcbf29ce484222325u64;
+        for (i, case) in cases.iter().enumerate() {
+            let mut sim = ClusterSim::new(case.cfg, &trace, &est, case.policy);
+            rewrite_plans(&mut sim, case);
+            let (r, counters) = sim
+                .with_observer(ckpt_obs::Counters::new())
+                .run_observed(SimBudget::UNLIMITED, |_| {});
+            let name = case.name;
+            assert_eq!(r.tasks_done, trace.task_count(), "{name}");
+            counters
+                .verify_invariants(true)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(counters.get(Counter::EventsPopped), r.events, "{name}");
+            h = fnv(h, i as u64);
+            for j in &r.jobs {
+                h = fnv(h, j.base.total_wall.to_bits());
+                h = fnv(h, j.base.failures as u64);
+                h = fnv(h, j.base.checkpoints as u64);
+                h = fnv(h, j.base.rollback_loss.to_bits());
+                h = fnv(h, j.base.checkpoint_time.to_bits());
+                h = fnv(h, j.base.restart_time.to_bits());
+                h = fnv(h, j.queue_wait.to_bits());
+                h = fnv(h, j.span.to_bits());
+            }
+            for &d in &r.checkpoint_durations {
+                h = fnv(h, d.to_bits());
+            }
+            h = fnv(h, r.makespan.0);
+            h = fnv(h, r.events);
+            h = fnv(h, r.host_failures);
+        }
+        assert_eq!(
+            h, 0xad8c_d522_911e_d014,
+            "tie-case digest drifted: {h:#018x}"
+        );
+    }
+
     #[test]
     fn streaming_metrics_match_full_statistics() {
         let (trace, est) = setup(60, 31);

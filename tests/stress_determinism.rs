@@ -11,7 +11,7 @@
 
 use ckpt_report::{RunContext, Scale};
 use ckpt_scenario::spec::MetricsChoice;
-use ckpt_scenario::{run_sweep_ctx, to_frame, SampleFilter, SweepSpec};
+use ckpt_scenario::{run_sweep, run_sweep_ctx, to_frame, SampleFilter, SweepOptions, SweepSpec};
 
 /// FNV-1a 64 over rendered bytes, the digest `tests/telemetry.rs` pins
 /// exports with.
@@ -168,6 +168,31 @@ fn stress_fleet_frames_are_thread_invariant() {
     );
     // The cluster engine's cells carry the deterministic DES event count.
     assert!(csv1.lines().any(|l| l.contains(",events,")), "{csv1}");
+}
+
+/// The benchmark's `stress_fleet` shape at full size: 30 000 jobs on
+/// 128 hosts x 8 VMs under host failures, formula3 then none, unsharded,
+/// seed 7. The quick-scale pins above see no two interacting DES events
+/// (completion, plan kill, host failure, restore) in the same
+/// microsecond; this shape has such ties, so it pins the tie order of the
+/// cluster engine's event queue.
+#[test]
+fn stress_fleet_benchmark_shape_is_pinned() {
+    let text = "[sweep]\nname = \"perf_stress_fleet\"\nengine = \"cluster\"\nseed = 7\n\
+                jobs = 30000\nsample = \"all\"\n\n\
+                [workload]\nlong_task_fraction = 0.0\nmean_interarrival_s = 2.0\n\n\
+                [cluster]\nn_hosts = 128\nvms_per_host = 8\nhost_mem_mb = 8192\n\
+                host_mtbf_s = 7200\nshards = 1\n\n\
+                [axes]\npolicy = [\"formula3\", \"none\"]\n";
+    let sweep = SweepSpec::from_str(text).expect("spec parses");
+    let result = run_sweep(&sweep, SweepOptions { threads: 1 }).expect("sweep runs");
+    let frame = to_frame(&sweep, &result);
+    assert_frames_pinned(
+        "stress_fleet at 30 000 jobs, seed 7",
+        &frame.to_csv(),
+        &frame.to_json(),
+        (0xe436_7b06_9489_fe0a, 0xa700_30e8_0401_3c8e),
+    );
 }
 
 #[test]
