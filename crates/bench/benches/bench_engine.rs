@@ -25,10 +25,10 @@ fn bench_event_queue(c: &mut Criterion) {
         b.iter(|| {
             let mut q = FastQueue::new();
             for i in 0..10_000u64 {
-                q.schedule(SimTime((i * 7919) % 100_000), i);
+                q.schedule(SimTime((i * 7919) % 100_000), SimTime::ZERO, i);
             }
             let mut acc = 0u64;
-            while let Some((_, p)) = q.pop() {
+            while let Some((_, _, p)) = q.pop() {
                 acc = acc.wrapping_add(p);
             }
             acc

@@ -48,7 +48,9 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// DES events popped off the future-event list (arrivals included).
+    /// DES events processed (arrivals included): popped off the
+    /// future-event list, or stepped past by a checkpoint chain (see
+    /// [`Counter::EventsChained`]).
     EventsPopped,
     /// DES events scheduled, *including* provably-stale kills that the
     /// engine skipped scheduling (see [`Counter::StaleSkips`]) — so that
@@ -113,10 +115,14 @@ pub enum Counter {
     ///
     /// [`FaultPlan`]: https://docs.rs/ckpt-faults
     FaultsInjected,
+    /// DES events a ramdisk task's checkpoint chain advanced without the
+    /// heap. Each one also counts as scheduled and popped, so this is a
+    /// subset of [`Counter::EventsPopped`].
+    EventsChained,
 }
 
 /// Number of counters in the catalog.
-pub const N_COUNTERS: usize = 25;
+pub const N_COUNTERS: usize = 26;
 
 /// All counters, in catalog (display/merge) order.
 pub const ALL_COUNTERS: [Counter; N_COUNTERS] = [
@@ -145,6 +151,7 @@ pub const ALL_COUNTERS: [Counter; N_COUNTERS] = [
     Counter::CellsRetried,
     Counter::IoRetries,
     Counter::FaultsInjected,
+    Counter::EventsChained,
 ];
 
 impl Counter {
@@ -176,6 +183,7 @@ impl Counter {
             Counter::CellsRetried => "cells_retried",
             Counter::IoRetries => "io_retries",
             Counter::FaultsInjected => "faults_injected",
+            Counter::EventsChained => "events_chained",
         }
     }
 
@@ -309,6 +317,8 @@ impl Counters {
     /// * `events_popped == events_scheduled − stale_skips` (holds exactly
     ///   on *completed* DES runs — a budget-interrupted run leaves
     ///   scheduled events unpopped);
+    /// * `events_chained <= events_popped` (every chained event counts as
+    ///   popped);
     /// * `arena_hits + arena_misses == plan_lookups`.
     ///
     /// `des_completed` gates the first identity. Returns a message naming
@@ -327,6 +337,12 @@ impl Counters {
                      stale_skips ({stale})"
                 ));
             }
+        }
+        let (chained, popped) = (g(Counter::EventsChained), g(Counter::EventsPopped));
+        if chained > popped {
+            return Err(format!(
+                "events_chained ({chained}) > events_popped ({popped})"
+            ));
         }
         let (hits, misses, lookups) = (
             g(Counter::ArenaHits),
@@ -790,6 +806,14 @@ mod tests {
         bad2.incr(Counter::ArenaMisses, 1);
         let err = bad2.verify_invariants(false).unwrap_err();
         assert!(err.contains("arena_hits"), "{err}");
+
+        // Chained events are a subset of the popped ones.
+        let mut chained = ok;
+        chained.incr(Counter::EventsChained, 8);
+        assert!(chained.verify_invariants(true).is_ok());
+        chained.incr(Counter::EventsChained, 1);
+        let err = chained.verify_invariants(false).unwrap_err();
+        assert!(err.contains("events_chained"), "{err}");
     }
 
     #[test]

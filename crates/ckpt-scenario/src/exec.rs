@@ -703,6 +703,27 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     format!("panicked: {msg}")
 }
 
+thread_local! {
+    /// Set while this thread evaluates a cell under `catch_unwind`.
+    static GUARDED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Install, once per process, a panic hook that prints nothing for a
+/// panic inside a guarded cell evaluation — the retry and quarantine
+/// notes name its reason — and hands every other panic to the hook it
+/// replaced.
+fn quiet_guarded_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !GUARDED.with(|g| g.get()) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// Count a fault the plan fired into the telemetry counters, at the
 /// moment it fires.
 fn fired<F>(telemetry: Option<&Telemetry>, fault: Option<F>) -> Option<F> {
@@ -717,7 +738,8 @@ fn fired<F>(telemetry: Option<&Telemetry>, fault: Option<F>) -> Option<F> {
 /// injected failure), panics unwind no further than this frame, and a
 /// failing cell is retried through [`FaultState::retry`] before being
 /// quarantined as [`CellStatus::Failed`] — unless the policy is strict,
-/// in which case the first failure is fatal.
+/// in which case the first failure is fatal. A panic prints no report of
+/// its own (see [`quiet_guarded_panics`]).
 fn evaluate_cell_guarded(
     sweep: &SweepSpec,
     spec: &ScenarioSpec,
@@ -727,6 +749,7 @@ fn evaluate_cell_guarded(
     telemetry: Option<&Telemetry>,
     policy: &FaultPolicy,
 ) -> Result<CellResult, String> {
+    quiet_guarded_panics();
     let evaluated = policy.faults.retry(
         Retried::Cell,
         policy.strict,
@@ -742,14 +765,16 @@ fn evaluate_cell_guarded(
         },
         || {
             let injected = fired(telemetry, policy.faults.cell_fault(cell_index as u64));
-            std::panic::catch_unwind(AssertUnwindSafe(|| match injected {
+            GUARDED.with(|g| g.set(true));
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| match injected {
                 Some(CellFault::Panic) => panic!("injected fault: panic at cell {cell_index}"),
                 Some(CellFault::Budget) => Err(format!(
                     "injected fault: budget exhausted at cell {cell_index}"
                 )),
                 None => evaluate_cell(sweep, spec, cell_index, replay_threads, cache, telemetry),
-            }))
-            .unwrap_or_else(|payload| Err(panic_reason(payload)))
+            }));
+            GUARDED.with(|g| g.set(false));
+            caught.unwrap_or_else(|payload| Err(panic_reason(payload)))
         },
     );
     let reason = match evaluated {
@@ -780,17 +805,18 @@ fn evaluate_cell_guarded(
 }
 
 /// One failed attempt of a guarded I/O operation: an error the fault
-/// plan injected, or the operation's own.
+/// plan injected, or the operation's own with its I/O error kind (`None`
+/// when no I/O error is behind it).
 enum IoFailure<E> {
     Injected(std::io::ErrorKind),
-    Failed(E),
+    Failed(Option<std::io::ErrorKind>, E),
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for IoFailure<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<E> IoFailure<E> {
+    fn kind(&self) -> Option<std::io::ErrorKind> {
         match self {
-            IoFailure::Injected(kind) => f.write_str(io_kind_name(*kind)),
-            IoFailure::Failed(e) => e.fmt(f),
+            IoFailure::Injected(kind) => Some(*kind),
+            IoFailure::Failed(kind, _) => *kind,
         }
     }
 }
@@ -800,16 +826,17 @@ impl<E: std::fmt::Display> std::fmt::Display for IoFailure<E> {
 /// attempt first consults the plan's `op` faults (an injected error
 /// stands in for the attempt; a fired fault ticks `faults_injected`),
 /// then calls `attempt(torn)`, where `torn` asks a store append to tear
-/// its frame and abort. Failures go through [`FaultState::retry`]:
-/// injected errors retry when their kind is transient, the operation's
-/// own errors when `retryable` says so. `what` names the operation in the
-/// retry notes and the final error, and is only formatted for them.
+/// its frame and abort. Failures go through [`FaultState::retry`]: an
+/// injected error, or one whose `io_kind` is some I/O error kind, retries
+/// when that kind is transient, and the retry note names the kind alone.
+/// `what` names the operation in the retry notes and the final error, and
+/// is only formatted for them.
 pub fn guarded_io<T, E: std::fmt::Display>(
     policy: &FaultPolicy,
     telemetry: Option<&Telemetry>,
     op: IoOp,
     what: impl Fn() -> String,
-    retryable: impl Fn(&E) -> bool,
+    io_kind: impl Fn(&E) -> Option<std::io::ErrorKind>,
     mut attempt: impl FnMut(bool) -> Result<T, E>,
 ) -> Result<T, String> {
     policy
@@ -817,13 +844,12 @@ pub fn guarded_io<T, E: std::fmt::Display>(
         .retry(
             Retried::Io,
             policy.strict,
-            |failure: &IoFailure<E>| match failure {
-                IoFailure::Injected(kind) => is_transient_kind(*kind),
-                IoFailure::Failed(e) => retryable(e),
-            },
+            |failure: &IoFailure<E>| failure.kind().is_some_and(is_transient_kind),
             |n, failure| {
+                // Only a failure with a transient kind is retried.
+                let kind = failure.kind().map_or("io", io_kind_name);
                 eprintln!(
-                    "sweep: transient io failure {} ({failure}); retry {n}/{}",
+                    "sweep: transient io failure {} ({kind}); retry {n}/{}",
                     what(),
                     MAX_ATTEMPTS - 1
                 );
@@ -833,14 +859,14 @@ pub fn guarded_io<T, E: std::fmt::Display>(
             },
             || match fired(telemetry, policy.faults.io_fault(op)) {
                 Some(IoFault::Io(kind)) => Err(IoFailure::Injected(kind)),
-                torn => attempt(torn.is_some()).map_err(IoFailure::Failed),
+                torn => attempt(torn.is_some()).map_err(|e| IoFailure::Failed(io_kind(&e), e)),
             },
         )
         .map_err(|failure| match failure {
             IoFailure::Injected(kind) => {
                 format!("{}: injected io error ({})", what(), io_kind_name(kind))
             }
-            IoFailure::Failed(e) => format!("{}: {e}", what()),
+            IoFailure::Failed(_, e) => format!("{}: {e}", what()),
         })
 }
 
@@ -960,7 +986,7 @@ impl CkptWriter {
             telemetry,
             IoOp::Write,
             || format!("persisting cell {}", cell.index),
-            StoreError::is_transient,
+            StoreError::kind,
             |torn| {
                 let mut w = lock_recover(writer);
                 if torn {
@@ -1028,7 +1054,7 @@ fn open_store(
             telemetry,
             IoOp::Open,
             || format!("opening {}", path.display()),
-            StoreError::is_transient,
+            StoreError::kind,
             |_| SweepStore::open(&path),
         )
         .map_err(SweepError)?;
@@ -1064,7 +1090,7 @@ fn open_store(
             telemetry,
             IoOp::Open,
             || format!("creating {}", path.display()),
-            StoreError::is_transient,
+            StoreError::kind,
             |_| SweepStore::create(&path, header),
         )
         .map_err(SweepError)?
@@ -1288,6 +1314,41 @@ mod tests {
             result.health.faults_injected,
             ckpt_faults::MAX_ATTEMPTS as u64
         );
+    }
+
+    /// Store errors retry by the `io::ErrorKind` they carry: a transient
+    /// kind is retried, any other kind and a non-I/O error fail at once.
+    #[test]
+    fn store_errors_retry_by_their_io_kind() {
+        use std::io::{Error, ErrorKind};
+        let policy = test_policy("", false);
+        let run = |first: StoreError| {
+            let mut attempts = 0;
+            let mut first = Some(first);
+            let result = guarded_io(
+                &policy,
+                None,
+                IoOp::Write,
+                || "persisting cell 0".to_string(),
+                StoreError::kind,
+                |_| {
+                    attempts += 1;
+                    first.take().map_or(Ok(()), Err)
+                },
+            );
+            (result, attempts)
+        };
+        let (result, attempts) = run(Error::new(ErrorKind::Interrupted, "blip").into());
+        assert_eq!((result, attempts), (Ok(()), 2));
+        let (result, attempts) = run(Error::new(ErrorKind::PermissionDenied, "locked").into());
+        assert_eq!(attempts, 1);
+        assert!(result.unwrap_err().contains("locked"));
+        let Err(other) = SweepStore::open(std::env::temp_dir().join("no_such_ckpt_store.bin"))
+        else {
+            panic!("a missing store does not open");
+        };
+        assert_eq!(other.kind(), Some(ErrorKind::NotFound));
+        assert_eq!(run(other).1, 1);
     }
 
     #[test]

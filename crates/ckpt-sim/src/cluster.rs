@@ -26,11 +26,13 @@
 //!   touches only the columns it needs, and kill plans live in one shared
 //!   arena instead of a `VecDeque` per task;
 //! * the future-event list is an indexed binary heap
-//!   ([`crate::event::FastQueue`]) with stable `(time, seq)` ordering and
-//!   inline payloads; job arrivals are *not* pre-scheduled — a sorted
-//!   arrival cursor feeds them in lazily, so the heap holds only the
-//!   events of currently-active tasks (hundreds, not hundreds of
+//!   ([`crate::event::FastQueue`]) with stable `(time, sched, seq)`
+//!   ordering and inline payloads; job arrivals are *not* pre-scheduled —
+//!   a sorted arrival cursor feeds them in lazily, so the heap holds only
+//!   the events of currently-active tasks (hundreds, not hundreds of
 //!   thousands);
+//! * a ramdisk task steps its own run → checkpoint → run chain without
+//!   the heap (see *Checkpoint chains* below);
 //! * failure events that provably cannot land inside the current phase
 //!   (the next kill falls beyond the phase's known end) are never
 //!   scheduled — they would arrive stale and be dropped anyway, so
@@ -55,11 +57,46 @@
 //!
 //! Determinism: results are a pure function of `(config, trace, estimates,
 //! policy)`. Event order is total — integer-microsecond times, ties broken
-//! by schedule order — and all randomness (host-failure draws, DM-NFS
-//! server picks) comes from one stream consumed in event order.
+//! by the time an event was scheduled, then by schedule order — and all
+//! randomness (host-failure draws, DM-NFS server picks) comes from one
+//! stream consumed in event order.
+//!
+//! ## Checkpoint chains
+//!
+//! A ramdisk write has a fixed cost and draws nothing from the RNG, so
+//! between its own kills, its completion and its host's failures, a
+//! running ramdisk task touches no state that another event reads. When
+//! such a task enters a phase, the engine steps the phase ends itself,
+//! on the same `SimTime` arithmetic and through the same transition
+//! helpers the heap handlers call, and stops at the first phase where
+//!
+//! * its next planned kill lands (the `arm_kill` test: a kill at exactly
+//!   the phase end lands and wins the tie),
+//! * the task completes, or
+//! * the phase end's queue key `(end, phase start)` is not below the
+//!   pending failure of the task's host.
+//!
+//! Only that last phase's events enter the heap, keyed as scheduled at
+//! the phase's start, exactly as the heap path would have keyed them. A
+//! host failure draws its successor at the start of its handler rather
+//! than at the end (no other draw happens in between), so tasks placed on
+//! the host while its victims re-queue see the new bound; the event is
+//! still pushed last.
+//!
+//! Every stepped-past phase end counts as a scheduled and popped event
+//! (`events`, [`ckpt_obs::Counter::EventsChained`]), progress reports
+//! fire once per crossed multiple, and stale kills are counted as before.
+//! Under [`MetricsMode::Full`] each duration is stored with the key of
+//! the event that completed it and sorted once at the end, so the sample
+//! keeps the order the all-heap engine pops in. The one order the chain
+//! cannot reproduce is an exact `(time, sched)` tie between a
+//! chain-scheduled event and one that another handler scheduled at that
+//! same `sched`: the chain's event gets the lower `seq`. The golden
+//! digests, the stress pins and the 30 000-job benchmark-shape pin all
+//! come out byte-identical to the all-heap engine.
 
 use crate::blcr::{BlcrModel, Device};
-use crate::event::FastQueue;
+use crate::event::{self, FastQueue};
 use crate::metrics::JobRecord;
 use crate::policy::{plan_task, Estimates, PolicyConfig};
 use crate::storage::{OpId, PsResource};
@@ -167,7 +204,8 @@ pub struct ClusterRunResult {
     /// Whole-host failures injected (0 unless `host_mtbf_s` was set).
     pub host_failures: u64,
     /// Events processed (arrivals, milestones, failures, checkpoint and
-    /// storage completions, restores, host failures).
+    /// storage completions, restores, host failures), including the phase
+    /// ends a checkpoint chain stepped past without the heap.
     pub events: u64,
     /// Tasks completed. Below the trace's task count when some task needs
     /// more memory than a host has: the FIFO scheduler blocks behind it,
@@ -216,6 +254,12 @@ pub struct ClusterSim<'a, O: Observer = NoObs> {
     /// consumers that need determinism sort before use). Doubles as the
     /// per-host VM-slot count (`occupants[h].len()`).
     occupants: Vec<Vec<u32>>,
+    /// Free VM slots fleet-wide: `try_place` skips its host scan at 0.
+    free_slots: usize,
+    /// Queue key ([`event::key`]) of each host's pending failure event;
+    /// `u128::MAX` when host failures are off. A checkpoint chain skips
+    /// only phase ends that pop before it.
+    host_fail_key: Vec<u128>,
     storage: Vec<PsResource>,
     /// op id → task id.
     storage_ops: HashMap<u64, u32>,
@@ -227,7 +271,10 @@ pub struct ClusterSim<'a, O: Observer = NoObs> {
     /// failures are disabled.
     host_process: Option<HazardProcess>,
     metrics_mode: MetricsMode,
-    ckpt_durations: Vec<f64>,
+    /// Full mode: each checkpoint's duration with the queue key
+    /// `(time, sched)` of the event that completed it. Chains record
+    /// ahead of the clock, so [`ClusterSim::into_result`] sorts once.
+    ckpt_durations: Vec<(SimTime, SimTime, f64)>,
     max_concurrent: usize,
     host_failures: u64,
     /// Kill-plan provenance recorded at build time (one lookup per task):
@@ -376,6 +423,8 @@ impl<'a> ClusterSim<'a> {
             pending: VecDeque::new(),
             host_mem_free: vec![cfg.host_mem_mb; cfg.n_hosts],
             occupants: vec![Vec::new(); cfg.n_hosts],
+            free_slots: cfg.n_hosts * cfg.vms_per_host,
+            host_fail_key: vec![u128::MAX; cfg.n_hosts],
             storage: (0..cfg.n_hosts)
                 .map(|_| PsResource::new(cfg.storage_rate))
                 .collect(),
@@ -403,9 +452,9 @@ impl<'a> ClusterSim<'a> {
         } else {
             sim.arena_misses = sim.plan_lookups;
         }
-        if cfg.host_mtbf_s.is_some() {
-            for host in 0..cfg.n_hosts {
-                sim.schedule_host_failure(host);
+        for host in 0..cfg.n_hosts {
+            if let Some(at) = sim.draw_host_failure(host) {
+                sim.schedule_ev(at, Ev::HostFailure { host: host as u32 });
             }
         }
         sim
@@ -445,6 +494,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             pending: self.pending,
             host_mem_free: self.host_mem_free,
             occupants: self.occupants,
+            free_slots: self.free_slots,
+            host_fail_key: self.host_fail_key,
             storage: self.storage,
             storage_ops: self.storage_ops,
             next_op_id: self.next_op_id,
@@ -475,21 +526,20 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     #[inline]
     fn schedule_ev(&mut self, when: SimTime, ev: Ev) {
         self.obs.tick(Counter::EventsScheduled);
-        self.queue.schedule(when, ev);
+        self.queue.schedule(when, self.now, ev);
     }
 
     /// Draw the next whole-host failure for `host` from the configured
     /// failure process (the default exponential process reproduces the
-    /// historical `-ln(U)·MTBF` draw on the same stream, bit-for-bit).
-    fn schedule_host_failure(&mut self, host: usize) {
-        let Some(process) = &self.host_process else {
-            return;
-        };
+    /// historical `-ln(U)·MTBF` draw on the same stream, bit-for-bit) and
+    /// record its queue key as the host's chain bound. The caller pushes
+    /// the event, keyed as scheduled now.
+    fn draw_host_failure(&mut self, host: usize) -> Option<SimTime> {
+        let process = self.host_process.as_ref()?;
         let dt = process.sample_interval(&mut self.cluster_rng);
-        self.schedule_ev(
-            self.now + SimDuration::from_secs_f64(dt),
-            Ev::HostFailure { host: host as u32 },
-        );
+        let at = self.now + SimDuration::from_secs_f64(dt);
+        self.host_fail_key[host] = event::key(at, self.now);
+        Some(at)
     }
 
     /// Mark a task ready and try to place it.
@@ -508,7 +558,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     /// Greedy placement: host with maximum free memory that fits (the
     /// paper's policy), FIFO over the queue.
     fn try_place(&mut self) {
-        loop {
+        while self.free_slots > 0 {
             let ti = match self.pending.front().copied() {
                 Some(ti) => ti as usize,
                 None => return,
@@ -527,6 +577,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 return; // head of queue does not fit anywhere: FIFO blocks
             };
             self.pending.pop_front();
+            self.free_slots -= 1;
             self.host_mem_free[h] -= mem;
             self.store.host[ti] = h as u32;
             self.store.host_slot[ti] = self.occupants[h].len() as u32;
@@ -550,31 +601,106 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                     },
                 );
             } else {
-                self.start_run(ti);
+                self.advance(ti, None);
             }
         }
     }
 
-    /// Begin (or resume) a productive run phase from the durable position.
-    fn start_run(&mut self, ti: usize) {
-        let now = self.now;
+    /// Enter task `ti`'s next phase at the engine clock: a ramdisk write
+    /// of progress `write` when given, a run phase from the durable
+    /// position otherwise, and schedule the phase's end.
+    ///
+    /// A ramdisk task then steps its checkpoint chain: while its phase
+    /// ends before anything else can touch it (no kill lands in the
+    /// phase, the task does not complete, and the end's queue key is
+    /// below its host's pending failure), the end event is counted as
+    /// popped instead of scheduled, and the next phase begins at that end
+    /// on the chain's own clock. Only the last phase's events enter the
+    /// heap, keyed as scheduled at that phase's start. The engine clock is
+    /// restored on return.
+    fn advance(&mut self, ti: usize, mut write: Option<f64>) {
+        let clock = self.now;
+        loop {
+            if let Some(pos) = write {
+                let epoch = self.begin_checkpoint(ti, pos);
+                let end = self.now + SimDuration::from_secs_f64(self.store.ckpt_cost[ti]);
+                if self.arm_kill(ti, epoch, Some(end)) || !self.chains(ti, end) {
+                    self.schedule_ev(
+                        end,
+                        Ev::CkptDone {
+                            task: ti as u32,
+                            epoch,
+                        },
+                    );
+                    break;
+                }
+                let sched = self.now;
+                self.skip_to(end);
+                self.complete_checkpoint(ti, self.store.ckpt_cost[ti], sched);
+            }
+            let (epoch, end, next) = self.begin_run(ti);
+            if self.arm_kill(ti, epoch, Some(end)) || next.is_none() || !self.chains(ti, end) {
+                self.schedule_ev(
+                    end,
+                    Ev::Milestone {
+                        task: ti as u32,
+                        epoch,
+                    },
+                );
+                break;
+            }
+            self.skip_to(end);
+            self.store.busy[ti] += (self.now - self.store.phase_start[ti]).as_secs_f64();
+            write = next;
+        }
+        self.now = clock;
+    }
+
+    /// Begin a run phase from the durable position. Returns its epoch, its
+    /// end, and the checkpoint it heads for (`None`: it completes the
+    /// task).
+    fn begin_run(&mut self, ti: usize) -> (u32, SimTime, Option<f64>) {
         self.store.state[ti] = TaskState::Running;
         let epoch = self.store.bump_epoch(ti);
         let durable = self.store.durable[ti];
         let te = self.store.te[ti];
         self.store.run_base[ti] = durable;
-        self.store.phase_start[ti] = now;
-        let target = next_checkpoint_in(&self.store.controller[ti], durable, te).unwrap_or(te);
-        let run_needed = (target - durable).max(0.0);
-        let milestone_at = now + SimDuration::from_secs_f64(run_needed);
-        self.arm_kill(ti, epoch, Some(milestone_at));
-        self.schedule_ev(
-            milestone_at,
-            Ev::Milestone {
-                task: ti as u32,
-                epoch,
-            },
-        );
+        self.store.phase_start[ti] = self.now;
+        let next = next_checkpoint_in(&self.store.controller[ti], durable, te);
+        let run_needed = (next.unwrap_or(te) - durable).max(0.0);
+        (
+            epoch,
+            self.now + SimDuration::from_secs_f64(run_needed),
+            next,
+        )
+    }
+
+    /// Begin writing a checkpoint of progress `pos`; returns its epoch.
+    fn begin_checkpoint(&mut self, ti: usize, pos: f64) -> u32 {
+        self.store.run_base[ti] = pos;
+        self.store.state[ti] = TaskState::Checkpointing;
+        self.store.phase_start[ti] = self.now;
+        self.store.bump_epoch(ti)
+    }
+
+    /// Whether a chain may step past the end of task `ti`'s current phase:
+    /// the task writes to ramdisk, and the end event, keyed `(end, now)`,
+    /// would pop before its host's pending failure.
+    #[inline]
+    fn chains(&self, ti: usize, end: SimTime) -> bool {
+        self.store.device[ti] == Device::Ramdisk
+            && event::key(end, self.now) < self.host_fail_key[self.store.host[ti] as usize]
+    }
+
+    /// Account one chained phase end as scheduled and popped, and move
+    /// the chain's clock to it.
+    #[inline]
+    fn skip_to(&mut self, end: SimTime) {
+        self.now = end;
+        self.events += 1;
+        self.obs.tick(Counter::EventsScheduled);
+        self.obs.tick(Counter::EventsPopped);
+        self.obs.tick(Counter::EventsChained);
     }
 
     /// Arm the task's next planned kill for the phase it entered now under
@@ -584,15 +710,16 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
     /// counts as scheduled *and* stale-skipped, keeping the `popped ==
     /// scheduled − stale_skips` identity exact on completion. A kill at
     /// exactly `ends_at` is armed; scheduled before the phase's end event,
-    /// it pops first and wins the tie.
-    fn arm_kill(&mut self, ti: usize, epoch: u32, ends_at: Option<SimTime>) {
+    /// it pops first and wins the tie. Returns whether the kill was armed.
+    fn arm_kill(&mut self, ti: usize, epoch: u32, ends_at: Option<SimTime>) -> bool {
         let Some(kill) = self.store.next_kill(ti) else {
-            return;
+            return false;
         };
         let fail_at = self.now + SimDuration::from_secs_f64((kill - self.store.busy[ti]).max(0.0));
         if ends_at.is_some_and(|end| fail_at > end) {
             self.obs.tick(Counter::EventsScheduled);
             self.obs.tick(Counter::StaleSkips);
+            false
         } else {
             self.schedule_ev(
                 fail_at,
@@ -601,6 +728,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                     epoch,
                 },
             );
+            true
         }
     }
 
@@ -610,6 +738,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         if h != NO_HOST {
             let h = h as usize;
             self.store.host[ti] = NO_HOST;
+            self.free_slots += 1;
             self.host_mem_free[h] += self.store.mem_mb[ti];
             // Swap-remove from the occupant list, patching the moved
             // task's slot index (no patch needed when the removed task
@@ -676,42 +805,26 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             self.complete_task(ti);
             return;
         };
-        // Start a checkpoint at position `target`.
-        let server_pick = match self.store.device[ti] {
-            Device::CentralNfs => Some(0usize),
-            Device::DmNfs => Some(self.cluster_rng.next_range(self.cfg.n_hosts as u64) as usize),
-            Device::Ramdisk => None,
+        let server = match self.store.device[ti] {
+            Device::CentralNfs => 0usize,
+            Device::DmNfs => self.cluster_rng.next_range(self.cfg.n_hosts as u64) as usize,
+            Device::Ramdisk => {
+                self.advance(ti, Some(target));
+                return;
+            }
         };
-        self.store.run_base[ti] = target;
-        self.store.state[ti] = TaskState::Checkpointing;
-        let epoch = self.store.bump_epoch(ti);
-        self.store.phase_start[ti] = now;
-        match server_pick {
-            None => {
-                let when = now + SimDuration::from_secs_f64(self.store.ckpt_cost[ti]);
-                self.arm_kill(ti, epoch, Some(when));
-                self.schedule_ev(
-                    when,
-                    Ev::CkptDone {
-                        task: ti as u32,
-                        epoch,
-                    },
-                );
-            }
-            Some(server) => {
-                // Contended write: completion time is not known up front,
-                // so the kill (if any) must always be armed.
-                self.arm_kill(ti, epoch, None);
-                let demand = self.store.ckpt_cost[ti];
-                let op = OpId(self.next_op_id);
-                self.next_op_id += 1;
-                self.store.storage_op[ti] = Some((server as u32, op, now));
-                self.storage[server].add(now, op, demand);
-                self.storage_ops.insert(op.0, ti as u32);
-                self.max_concurrent = self.max_concurrent.max(self.storage_ops.len());
-                self.reschedule_storage(server);
-            }
-        }
+        // Contended write: completion time is not known up front, so the
+        // kill (if any) must always be armed.
+        let epoch = self.begin_checkpoint(ti, target);
+        self.arm_kill(ti, epoch, None);
+        let demand = self.store.ckpt_cost[ti];
+        let op = OpId(self.next_op_id);
+        self.next_op_id += 1;
+        self.store.storage_op[ti] = Some((server as u32, op, now));
+        self.storage[server].add(now, op, demand);
+        self.storage_ops.insert(op.0, ti as u32);
+        self.max_concurrent = self.max_concurrent.max(self.storage_ops.len());
+        self.reschedule_storage(server);
     }
 
     /// (Re-)schedule the pending completion event of a PS server.
@@ -728,7 +841,9 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         }
     }
 
-    fn finish_checkpoint(&mut self, ti: usize, duration: f64) {
+    /// A write that took `duration` seconds completed now, by an event
+    /// keyed as scheduled at `sched`: its progress becomes durable.
+    fn complete_checkpoint(&mut self, ti: usize, duration: f64, sched: SimTime) {
         let now = self.now;
         self.store.busy[ti] += (now - self.store.phase_start[ti]).as_secs_f64();
         self.obs.tick(Counter::CheckpointsWritten);
@@ -736,9 +851,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         self.store.durable[ti] = pos;
         self.store.outcome[ti].complete_checkpoint(pos, duration, &mut self.store.controller[ti]);
         if self.metrics_mode == MetricsMode::Full {
-            self.ckpt_durations.push(duration);
+            self.ckpt_durations.push((now, sched, duration));
         }
-        self.start_run(ti);
     }
 
     fn complete_task(&mut self, ti: usize) {
@@ -763,11 +877,12 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         self.try_place();
     }
 
-    /// The next event in global `(time, schedule-order)` order, merging the
-    /// lazy arrival cursor with the heap. Arrivals win ties — they were
-    /// scheduled first (at construction) in the historical engine, and the
-    /// merge preserves exactly that order.
-    fn next_event(&mut self) -> Option<(SimTime, Option<Ev>)> {
+    /// The next event in global `(time, sched, schedule-order)` order as
+    /// `(time, sched, event)`, merging the lazy arrival cursor with the
+    /// heap. Arrivals win ties — they were scheduled first (at
+    /// construction, `sched` 0) in the historical engine, and the merge
+    /// preserves exactly that order.
+    fn next_event(&mut self) -> Option<(SimTime, SimTime, Option<Ev>)> {
         let arrival = self.arrivals.get(self.arrival_cursor).map(|&(t, _)| t);
         match (arrival, self.queue.peek_time()) {
             (Some(at), Some(qt)) if at <= qt => {
@@ -776,14 +891,14 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 // loop pops: count them as scheduled at consumption so
                 // the popped/scheduled identity covers them.
                 self.obs.tick(Counter::EventsScheduled);
-                Some((at, None))
+                Some((at, SimTime::ZERO, None))
             }
             (Some(at), None) => {
                 self.arrival_cursor += 1;
                 self.obs.tick(Counter::EventsScheduled);
-                Some((at, None))
+                Some((at, SimTime::ZERO, None))
             }
-            (_, Some(_)) => self.queue.pop().map(|(t, ev)| (t, Some(ev))),
+            (_, Some(_)) => self.queue.pop().map(|(t, sched, ev)| (t, sched, Some(ev))),
             (None, None) => None,
         }
     }
@@ -811,9 +926,10 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         budget: SimBudget,
         mut on_progress: impl FnMut(u64),
     ) -> (ClusterRunResult, O) {
-        while let Some((time, ev)) = self.next_event() {
+        while let Some((time, sched, ev)) = self.next_event() {
             debug_assert!(time >= self.now);
             self.now = time;
+            let counted = self.events;
             self.events += 1;
             self.obs.tick(Counter::EventsPopped);
             if O::ENABLED {
@@ -866,6 +982,11 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                         }
                         self.host_failures += 1;
                         self.obs.tick(Counter::HostFailures);
+                        // Drawn before the victims re-queue, so tasks
+                        // placed on this host in this handler chain up to
+                        // its next failure. No other draw happens in
+                        // between, and the event is still pushed last.
+                        let next = self.draw_host_failure(host as usize);
                         // Kill every task currently occupying this host; they
                         // restart elsewhere from their last durable checkpoints.
                         // Sorted ascending: the historical engine scanned the
@@ -885,7 +1006,9 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                         for ti in victims {
                             self.on_failure(ti as usize, false);
                         }
-                        self.schedule_host_failure(host as usize);
+                        if let Some(at) = next {
+                            self.schedule_ev(at, Ev::HostFailure { host });
+                        }
                     }
                     Some(Ev::Milestone { task, epoch }) => {
                         let t = task as usize;
@@ -900,8 +1023,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                         let valid = self.store.epoch[t] == epoch
                             && self.store.state[t] == TaskState::Checkpointing;
                         if valid {
-                            let dur = self.store.ckpt_cost[t];
-                            self.finish_checkpoint(t, dur);
+                            self.complete_checkpoint(t, self.store.ckpt_cost[t], sched);
+                            self.advance(t, None);
                         }
                     }
                     Some(Ev::RestoreDone { task, epoch }) => {
@@ -909,7 +1032,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                         let valid = self.store.epoch[t] == epoch
                             && self.store.state[t] == TaskState::Restoring;
                         if valid {
-                            self.start_run(t);
+                            self.advance(t, None);
                         }
                     }
                     Some(Ev::Storage { server, generation }) => {
@@ -931,14 +1054,22 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                                 self.reschedule_storage(server);
                                 let dur =
                                     started.map(|s| (self.now - s).as_secs_f64()).unwrap_or(0.0);
-                                self.finish_checkpoint(ti, dur);
+                                self.complete_checkpoint(ti, dur, sched);
+                                self.advance(ti, None);
                             }
                         }
                     }
                 }
             }
-            if budget.progress_every > 0 && self.events.is_multiple_of(budget.progress_every) {
-                on_progress(self.events);
+            // A chain counts the phase ends it stepped past, so one pass
+            // can cross several multiples: report each.
+            if budget.progress_every > 0 {
+                let every = budget.progress_every;
+                let mut next = (counted / every + 1) * every;
+                while next <= self.events {
+                    on_progress(next);
+                    next += every;
+                }
             }
         }
         if O::ENABLED {
@@ -986,9 +1117,14 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
                 span,
             });
         }
+        // Back into the order the completing events pop in: chained
+        // entries were recorded early, and a stable sort keeps the pop
+        // order of equal keys.
+        let mut durations = self.ckpt_durations;
+        durations.sort_by_key(|&(time, sched, _)| (time, sched));
         ClusterRunResult {
             jobs,
-            checkpoint_durations: self.ckpt_durations,
+            checkpoint_durations: durations.into_iter().map(|(_, _, d)| d).collect(),
             max_concurrent_checkpoints: self.max_concurrent,
             makespan: self.last_activity,
             host_failures: self.host_failures,

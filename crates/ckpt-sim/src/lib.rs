@@ -4,7 +4,7 @@
 //! 7 XEN VMs, BLCR, NFS/DM-NFS, Google trace replay):
 //!
 //! * [`time`], [`event`] — deterministic DES foundations (integer
-//!   microseconds, the `(time, seq)`-ordered [`event::FastQueue`]).
+//!   microseconds, the `(time, sched, seq)`-ordered [`event::FastQueue`]).
 //! * [`task_store`] — dense struct-of-arrays task state for the cluster
 //!   engine (stable [`task_store::TaskId`]s, flat kill-plan arena).
 //! * [`blcr`] — the BLCR cost model calibrated to the paper's Figure 7 and

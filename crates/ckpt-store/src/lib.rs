@@ -67,37 +67,56 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// corruption (a torn tail) is *not* an error — [`SweepStore::open`]
 /// repairs it and reports the repair in its [`OpenReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreError(pub String);
+pub struct StoreError {
+    message: String,
+    /// The kind of the `io::Error` behind the failure; `None` for format,
+    /// identity and size errors.
+    kind: Option<std::io::ErrorKind>,
+}
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "checkpoint store error: {}", self.0)
+        write!(f, "checkpoint store error: {}", self.message)
     }
 }
 
 impl std::error::Error for StoreError {}
 
 impl StoreError {
+    /// A failure with no I/O error behind it.
+    fn new(message: String) -> Self {
+        StoreError {
+            message,
+            kind: None,
+        }
+    }
+
+    /// An I/O error `e`, described by `message`.
+    fn io(message: String, e: &std::io::Error) -> Self {
+        StoreError {
+            message,
+            kind: Some(e.kind()),
+        }
+    }
+
+    /// The kind of the I/O error behind the failure, if there was one.
+    pub fn kind(&self) -> Option<std::io::ErrorKind> {
+        self.kind
+    }
+
     /// True when the underlying failure was a transient I/O condition —
     /// the "try again" family ([`ckpt_faults::is_transient_kind`]) — so
     /// the caller may retry the operation with backoff instead of
-    /// aborting the run. Classification happens where the `io::Error` is
-    /// converted (the kind is known there); everything else is fatal.
+    /// aborting the run. Everything else is fatal.
     pub fn is_transient(&self) -> bool {
-        self.0.starts_with("transient io")
+        self.kind.is_some_and(ckpt_faults::is_transient_kind)
     }
 }
 
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
-        if ckpt_faults::is_transient_kind(e.kind()) {
-            StoreError(format!(
-                "transient io ({}): {e}",
-                ckpt_faults::io_kind_name(e.kind())
-            ))
-        } else {
-            StoreError(format!("io: {e}"))
-        }
+        let kind = ckpt_faults::io_kind_name(e.kind());
+        StoreError::io(format!("io ({kind}): {e}"), &e)
     }
 }
 
@@ -122,7 +141,7 @@ impl StoreHeader {
     /// by `current`, naming the first mismatching field.
     pub fn validate_against(&self, current: &StoreHeader) -> Result<(), StoreError> {
         let mismatch = |field: &str, stored: u64, now: u64| {
-            Err(StoreError(format!(
+            Err(StoreError::new(format!(
                 "store was written for a different sweep: {field} was {stored}, \
                  current spec has {now} (rerun without --resume to start fresh)"
             )))
@@ -157,7 +176,7 @@ impl StoreHeader {
 
     fn decode(buf: &[u8]) -> Result<Self, StoreError> {
         if buf.len() < HEADER_LEN as usize {
-            return Err(StoreError(format!(
+            return Err(StoreError::new(format!(
                 "header truncated: {} bytes, need {HEADER_LEN} \
                  (store was interrupted before the header landed)",
                 buf.len()
@@ -166,17 +185,17 @@ impl StoreHeader {
         let body = &buf[..HEADER_LEN as usize - 8];
         let stored_sum = u64_at(buf, HEADER_LEN as usize - 8);
         if fnv1a(body) != stored_sum {
-            return Err(StoreError("header checksum mismatch".into()));
+            return Err(StoreError::new("header checksum mismatch".into()));
         }
         if buf[..8] != MAGIC {
-            return Err(StoreError(format!(
+            return Err(StoreError::new(format!(
                 "bad magic {:?} (not a sweep checkpoint store)",
                 &buf[..8]
             )));
         }
         let version = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
-            return Err(StoreError(format!(
+            return Err(StoreError::new(format!(
                 "store format version {version}, this build reads {FORMAT_VERSION}"
             )));
         }
@@ -244,7 +263,7 @@ impl SweepStore {
             .create(true)
             .truncate(true)
             .open(&path)
-            .map_err(|e| StoreError(format!("cannot create {path:?}: {e}")))?;
+            .map_err(|e| StoreError::io(format!("cannot create {path:?}: {e}"), &e))?;
         let buf = header.encode();
         file.write_all(&buf)?;
         Ok(SweepStore {
@@ -268,11 +287,11 @@ impl SweepStore {
             .read(true)
             .write(true)
             .open(&path)
-            .map_err(|e| StoreError(format!("cannot open {path:?}: {e}")))?;
+            .map_err(|e| StoreError::io(format!("cannot open {path:?}: {e}"), &e))?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let header = StoreHeader::decode(&bytes)
-            .map_err(|e| StoreError(format!("{}: {}", path.display(), e.0)))?;
+            .map_err(|e| StoreError::new(format!("{}: {}", path.display(), e.message)))?;
 
         // Scan frames front to back; the first bad frame ends the valid
         // region — everything after it is untrusted (framing is lost).
@@ -289,7 +308,7 @@ impl SweepStore {
             if record.index >= header.grid_size {
                 // A frame that checksums but violates the header is not a
                 // torn write — refuse rather than silently drop data.
-                return Err(StoreError(format!(
+                return Err(StoreError::new(format!(
                     "{}: record index {} out of range (grid size {})",
                     path.display(),
                     record.index,
@@ -377,7 +396,7 @@ impl SweepStore {
     /// Frame a record for the on-disk log: `len | fnv1a(blob) | blob`.
     fn frame_bytes(&self, record: &CellRecord) -> Result<Vec<u8>, StoreError> {
         if record.index >= self.header.grid_size {
-            return Err(StoreError(format!(
+            return Err(StoreError::new(format!(
                 "record index {} out of range (grid size {})",
                 record.index, self.header.grid_size
             )));
@@ -389,7 +408,7 @@ impl SweepStore {
         let len = u32::try_from(blob.len())
             .ok()
             .filter(|&l| l <= MAX_BLOB_LEN)
-            .ok_or_else(|| StoreError(format!("record too large: {} bytes", blob.len())))?;
+            .ok_or_else(|| StoreError::new(format!("record too large: {} bytes", blob.len())))?;
         let mut frame = Vec::with_capacity(12 + blob.len());
         frame.extend_from_slice(&len.to_le_bytes());
         frame.extend_from_slice(&fnv1a(&blob).to_le_bytes());
@@ -546,11 +565,14 @@ mod tests {
         let transient: StoreError =
             std::io::Error::new(std::io::ErrorKind::Interrupted, "blip").into();
         assert!(transient.is_transient(), "{transient}");
-        assert!(transient.0.contains("interrupted"), "{transient}");
+        assert_eq!(transient.kind(), Some(std::io::ErrorKind::Interrupted));
+        assert!(transient.to_string().contains("interrupted"), "{transient}");
         let fatal: StoreError =
             std::io::Error::new(std::io::ErrorKind::PermissionDenied, "locked").into();
         assert!(!fatal.is_transient(), "{fatal}");
-        assert!(!StoreError("header checksum mismatch".into()).is_transient());
+        assert_eq!(fatal.kind(), Some(std::io::ErrorKind::PermissionDenied));
+        let format = StoreError::new("header checksum mismatch".into());
+        assert!(!format.is_transient() && format.kind().is_none());
     }
 
     #[test]
@@ -581,7 +603,7 @@ mod tests {
         let path = tmp("shorthdr");
         std::fs::write(&path, b"CKPTSW").unwrap();
         let err = SweepStore::open(&path).unwrap_err();
-        assert!(err.0.contains("header truncated"), "{err}");
+        assert!(err.message.contains("header truncated"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -590,7 +612,7 @@ mod tests {
         let path = tmp("foreign");
         std::fs::write(&path, vec![0x41u8; 128]).unwrap();
         let err = SweepStore::open(&path).unwrap_err();
-        assert!(err.0.contains("checksum"), "{err}");
+        assert!(err.message.contains("checksum"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -600,15 +622,15 @@ mod tests {
         let mut other = header();
         other.seed = 9;
         let err = stored.validate_against(&other).unwrap_err();
-        assert!(err.0.contains("seed was 7"), "{err}");
+        assert!(err.message.contains("seed was 7"), "{err}");
         let mut other = header();
         other.spec_digest = 1;
         let err = stored.validate_against(&other).unwrap_err();
-        assert!(err.0.contains("spec digest"), "{err}");
+        assert!(err.message.contains("spec digest"), "{err}");
         let mut other = header();
         other.grid_size = 25;
         let err = stored.validate_against(&other).unwrap_err();
-        assert!(err.0.contains("grid size"), "{err}");
+        assert!(err.message.contains("grid size"), "{err}");
         assert!(stored.validate_against(&header()).is_ok());
     }
 
@@ -617,7 +639,7 @@ mod tests {
         let path = tmp("range");
         let mut store = SweepStore::create(&path, header()).unwrap();
         let err = store.append(&record(24)).unwrap_err();
-        assert!(err.0.contains("out of range"), "{err}");
+        assert!(err.message.contains("out of range"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -633,7 +655,7 @@ mod tests {
         bytes[body_len..HEADER_LEN as usize].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let err = SweepStore::open(&path).unwrap_err();
-        assert!(err.0.contains("version"), "{err}");
+        assert!(err.message.contains("version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

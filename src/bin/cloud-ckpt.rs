@@ -15,7 +15,7 @@
 //! flags are hard errors instead of inert map entries.
 
 use cloud_ckpt::bench::registry;
-use cloud_ckpt::faults::{self, FaultPlan, FaultState, IoOp};
+use cloud_ckpt::faults::{FaultPlan, FaultState, IoOp};
 use cloud_ckpt::obs::{Phase, Telemetry};
 use cloud_ckpt::policy::daly::daly_interval_count;
 use cloud_ckpt::policy::optimal::{expected_wall_clock, optimal_interval_count};
@@ -558,7 +558,7 @@ fn cmd_sweep(flags: HashMap<String, String>) -> Result<(), CliError> {
             telemetry.as_deref(),
             IoOp::Export,
             || "writing outputs".to_string(),
-            |e: &std::io::Error| faults::is_transient_kind(e.kind()),
+            |e: &std::io::Error| Some(e.kind()),
             |_| write_outputs(&sweep, &result, &out_dir),
         )
     };

@@ -460,6 +460,44 @@ fn strip_wallclock(stdout: &[u8]) -> String {
         .join("\n")
 }
 
+/// A panicking cell prints no panic report, not even with backtraces
+/// on: its stderr is the three retry notes, the quarantine line and the
+/// health line, and each note names the panic's reason.
+#[test]
+fn quarantined_panics_print_no_panic_report() {
+    let spec = write_spec("quiet_panic_spec", SMALL);
+    let out = cli()
+        .args(["sweep", "--threads", "2", "--spec"])
+        .arg(&spec)
+        .arg("--out")
+        .arg(tmp("quiet_panic_out"))
+        .args(["--inject", "panic@cell=2"])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked at"), "{err}");
+    assert!(!err.contains("backtrace"), "{err}");
+    let reason = "panicked: injected fault: panic at cell 2";
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 5, "{err}");
+    for (n, line) in lines[..3].iter().enumerate() {
+        assert_eq!(
+            *line,
+            format!("sweep: cell 2 failed ({reason}); retry {}/3", n + 1)
+        );
+    }
+    assert_eq!(
+        lines[3],
+        format!("sweep: cell 2 quarantined after 4 attempts: {reason}")
+    );
+    assert!(
+        lines[4].starts_with("health: 3 cells ok, 1 quarantined"),
+        "{err}"
+    );
+}
+
 #[test]
 fn injected_panic_quarantines_one_cell_and_resume_reproduces_the_clean_run() {
     let spec = write_spec("quarantine_spec", SMALL);
