@@ -8,17 +8,27 @@
 //!   as IEEE bit patterns (NaN-exact, so loaded cells export the same
 //!   bytes as freshly evaluated ones), metric names re-interned against
 //!   the static catalog on load;
-//! * the identity digests: [`sweep_digest`] over everything that shapes
-//!   output bytes (name, base scenario, axes — *not* the thread count,
-//!   which never changes results), and a per-record [`cell_key_digest`]
-//!   over the cell's run key and rendered params;
+//! * the identity digests, hashed word by word from the encoder in
+//!   [`crate::identity`]: [`sweep_digest`] over the sweep scope (name,
+//!   base scenario with its aggregation filters, axes — *not* the thread
+//!   count, which never changes results) pins the store header, and a
+//!   per-record [`record_digest`] covers the cell's run scope (the
+//!   simulation inputs: the prep fields plus engine, policy, estimator,
+//!   storage, cost, metrics mode, cluster, shards and the analytic-engine
+//!   fields) and its rendered params. The encoder writes the prep fields,
+//!   then the run fields, then the sweep fields, in one fixed order, with
+//!   floats as bits and enums as explicit tags, so no digest depends on
+//!   how a type prints. Store format version 2 marks this encoding: a
+//!   version-1 store hashed the `Debug` text of the spec, and now fails
+//!   with the named version error instead of a digest mismatch;
 //! * [`CheckpointConfig`] / [`ResumeReport`] — what the caller asks for
 //!   and what the executor did about it.
 
 use crate::agg::MetricSummary;
 use crate::exec::CellResult;
+use crate::identity::{self, WordHasher, WordSink};
+use crate::spec::ScenarioSpec;
 use crate::sweep::SweepSpec;
-use ckpt_store::fnv1a;
 use std::path::{Path, PathBuf};
 
 /// Every metric name a cell can carry, across all engines. Loading a
@@ -91,28 +101,36 @@ pub struct ResumeReport {
     pub fresh_start: bool,
 }
 
-/// Digest of everything that shapes a sweep's output bytes: name, base
-/// scenario, and axes. Thread count is excluded — results are
-/// thread-invariant by construction, and a resume at a different
-/// `--threads` must be allowed to fill in the same store.
+/// Digest of everything that shapes a sweep's output bytes: the sweep
+/// identity of [`identity::sweep`] (name, base scenario with its filters,
+/// axes; not the thread count).
 pub fn sweep_digest(sweep: &SweepSpec) -> u64 {
-    fnv1a(format!("{}\n{:?}\n{:?}", sweep.name, sweep.base, sweep.axes).as_bytes())
+    let mut h = WordHasher::default();
+    identity::sweep(sweep, &mut h);
+    h.finish()
 }
 
-/// Per-record identity: the cell's run key (simulation inputs) plus its
-/// rendered axis params (which also carry filter axes that the run key
-/// deliberately omits). Checked on load so a record can never be replayed
-/// into the wrong cell even across hash-colliding spec edits.
+/// Per-record identity: the cell's run identity (simulation inputs) plus
+/// its rendered axis params (which also carry the filter axes that the run
+/// identity omits). Checked on load, so a record is never replayed into the
+/// wrong cell. Equal to [`cell_key_digest`] of the cell's
+/// [`ScenarioSpec::run_key`] and the same params, without building the key
+/// text.
+pub fn record_digest(spec: &ScenarioSpec, params: &[(String, String)]) -> u64 {
+    key_digest(&identity::hex_digits(identity::run_digest(spec)), params)
+}
+
+/// [`record_digest`] from a run key in text form, as
+/// [`ScenarioSpec::run_key`] renders it.
 pub fn cell_key_digest(run_key: &str, params: &[(String, String)]) -> u64 {
-    let mut buf = Vec::with_capacity(run_key.len() + 32 * params.len());
-    buf.extend_from_slice(run_key.as_bytes());
-    for (k, v) in params {
-        buf.push(0);
-        buf.extend_from_slice(k.as_bytes());
-        buf.push(1);
-        buf.extend_from_slice(v.as_bytes());
-    }
-    fnv1a(&buf)
+    key_digest(run_key.as_bytes(), params)
+}
+
+fn key_digest(run_key: &[u8], params: &[(String, String)]) -> u64 {
+    let mut h = WordHasher::default();
+    h.bytes(run_key);
+    identity::params(params, &mut h);
+    h.finish()
 }
 
 fn push_str(buf: &mut Vec<u8>, s: &str) {
@@ -399,6 +417,15 @@ mod tests {
         );
 
         let a = SweepSpec::from_str("[sweep]\nname = \"x\"\nseed = 1\n").unwrap();
+        // A run key in text form gives the digest the executor stores.
+        let spec = a.cell(0).unwrap();
+        assert_eq!(spec.run_key().len(), 16);
+        assert_eq!(
+            cell_key_digest(&spec.run_key(), &params_a),
+            record_digest(&spec, &params_a)
+        );
+        assert_ne!(record_digest(&spec, &params_a), record_digest(&spec, &[]));
+
         let b = SweepSpec::from_str("[sweep]\nname = \"x\"\nseed = 2\n").unwrap();
         assert_ne!(sweep_digest(&a), sweep_digest(&b));
         // Threads are execution shape, not identity: same digest.

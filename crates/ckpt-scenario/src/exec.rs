@@ -17,6 +17,7 @@
 
 use crate::agg::MetricSummary;
 use crate::ckpt::{self, CheckpointConfig, ResumeReport};
+use crate::identity::{self, Scope, WordSink};
 use crate::spec::{EngineKind, MetricsChoice, SampleFilter, ScenarioSpec};
 use crate::sweep::{SweepError, SweepSpec};
 use ckpt_faults::{
@@ -198,13 +199,19 @@ struct RunData {
 /// other workers needing the same key block on the `OnceLock`.
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, String>>>;
 
+/// A cache keyed by identity words ([`identity::key`]), compared exactly.
+type Cache<T> = Mutex<HashMap<Vec<u64>, Slot<T>>>;
+
 #[derive(Default)]
 struct RunCache {
-    preps: Mutex<HashMap<String, Slot<PrepData>>>,
-    runs: Mutex<HashMap<String, Slot<RunData>>>,
-    /// Failure-prone job-id sets, keyed by `(prep key, fraction)` — the
-    /// scan over all task records would otherwise repeat per filter cell.
-    prones: Mutex<HashMap<String, Slot<std::collections::HashSet<u64>>>>,
+    /// Keyed by the prep identity.
+    preps: Cache<PrepData>,
+    /// Keyed by the run identity.
+    runs: Cache<RunData>,
+    /// Failure-prone job-id sets, keyed by the prep identity plus the
+    /// fraction — the scan over all task records would otherwise repeat
+    /// per filter cell.
+    prones: Cache<std::collections::HashSet<u64>>,
 }
 
 /// Take a mutex, recovering from poisoning. A worker that panicked while
@@ -220,30 +227,12 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 fn get_or_init<T>(
-    map: &Mutex<HashMap<String, Slot<T>>>,
-    key: &str,
+    map: &Cache<T>,
+    key: Vec<u64>,
     f: impl FnOnce() -> Result<T, String>,
 ) -> Result<Arc<T>, String> {
-    let slot = {
-        let mut slots = lock_recover(map);
-        slots.entry(key.to_string()).or_default().clone()
-    };
+    let slot = lock_recover(map).entry(key).or_default().clone();
     slot.get_or_init(|| f().map(Arc::new)).clone()
-}
-
-/// Key of the trace-preparation inputs: workload shape + failure model +
-/// seed + trace file, independent of policy/cost/engine configuration.
-fn prep_key(spec: &ScenarioSpec) -> String {
-    format!(
-        "{}|{}|{:?}|{:?}|{:?}|{:?}|{}",
-        spec.seed,
-        spec.jobs,
-        spec.trace_file,
-        spec.workload,
-        spec.failure_model,
-        spec.failure_shape,
-        spec.failure_scale
-    )
 }
 
 fn prepare(spec: &ScenarioSpec) -> Result<PrepData, String> {
@@ -454,8 +443,9 @@ fn filtered_indices(
     let prone = match spec.sample {
         SampleFilter::All => None,
         SampleFilter::FailureProne { fraction } => {
-            let key = format!("{}|{}", prep_key(spec), fraction.to_bits());
-            Some(get_or_init(&cache.prones, &key, || {
+            let mut key = identity::key(spec, Scope::Prep);
+            key.float(fraction);
+            Some(get_or_init(&cache.prones, key, || {
                 Ok(failure_prone_jobs(&data.prep.records, fraction))
             })?)
         }
@@ -657,9 +647,11 @@ fn evaluate_cell(
             // tick only inside the fill closure, so each distinct replay
             // is counted exactly once no matter how many cells share it
             // or which worker claims the slot.
-            let data = get_or_init(&cache.runs, &spec.run_key(), || {
+            let data = get_or_init(&cache.runs, identity::key(spec, Scope::Run), || {
                 let prep = timed(telemetry, Phase::Sample, || {
-                    get_or_init(&cache.preps, &prep_key(spec), || prepare(spec))
+                    get_or_init(&cache.preps, identity::key(spec, Scope::Prep), || {
+                        prepare(spec)
+                    })
                 })?;
                 timed(telemetry, Phase::Simulate, || {
                     replay(spec, prep, replay_threads, telemetry)
@@ -680,17 +672,21 @@ fn evaluate_cell(
             progress.cell_done();
         }
     }
-    let params = sweep
-        .cell_params(cell_index)
-        .into_iter()
-        .map(|(k, v)| (k, v.render()))
-        .collect();
     Ok(CellResult {
         index: cell_index,
-        params,
+        params: rendered_params(sweep, cell_index),
         metrics,
         status: CellStatus::Ok,
     })
+}
+
+/// Cell `index`'s axis assignments with their values rendered, as a
+/// [`CellResult`] carries them.
+fn rendered_params(sweep: &SweepSpec, index: usize) -> Vec<(String, String)> {
+    sweep
+        .cell_values(index)
+        .map(|(k, v)| (k.to_string(), v.render()))
+        .collect()
 }
 
 /// Render a caught panic payload into a quarantine reason.
@@ -791,14 +787,9 @@ fn evaluate_cell_guarded(
             progress.cell_done();
         }
     }
-    let params = sweep
-        .cell_params(cell_index)
-        .into_iter()
-        .map(|(k, v)| (k, v.render()))
-        .collect();
     Ok(CellResult {
         index: cell_index,
-        params,
+        params: rendered_params(sweep, cell_index),
         metrics: vec![("failed", MetricSummary::from_values(&[]))],
         status: CellStatus::Failed { reason },
     })
@@ -978,7 +969,7 @@ impl CkptWriter {
     ) -> Result<(), String> {
         let record = CellRecord {
             index: cell.index as u64,
-            key_digest: ckpt::cell_key_digest(&spec.run_key(), &cell.params),
+            key_digest: ckpt::record_digest(spec, &cell.params),
             payload: ckpt::encode_cell(cell),
         };
         guarded_io(
@@ -1025,15 +1016,15 @@ impl CkptWriter {
 }
 
 /// Open-or-create the sweep's store per the config, returning the store
-/// positioned to append, the cells loaded from it (resume only), and the
-/// partially filled report.
+/// positioned to append, one slot per grid cell holding the cell loaded
+/// from the store (resume only), and the partially filled report.
 fn open_store(
     sweep: &SweepSpec,
     cells: &[ScenarioSpec],
     config: &CheckpointConfig,
     policy: &FaultPolicy,
     telemetry: Option<&Telemetry>,
-) -> Result<(SweepStore, HashMap<usize, CellResult>, ResumeReport), SweepError> {
+) -> Result<(SweepStore, Vec<Option<CellResult>>, ResumeReport), SweepError> {
     std::fs::create_dir_all(&config.dir)
         .map_err(|e| SweepError(format!("checkpoint dir {}: {e}", config.dir.display())))?;
     let path = config.store_path(&sweep.name);
@@ -1047,8 +1038,7 @@ fn open_store(
         store_path: path.clone(),
         ..ResumeReport::default()
     };
-    let mut loaded = HashMap::new();
-    let store = if config.resume && ckpt::store_exists(&path) {
+    let (store, records) = if config.resume && ckpt::store_exists(&path) {
         let (store, records, open) = guarded_io(
             policy,
             telemetry,
@@ -1063,29 +1053,10 @@ fn open_store(
             .validate_against(&header)
             .map_err(|e| SweepError(e.to_string()))?;
         report.recovered = open.warning;
-        for record in records {
-            // The store guarantees index < grid_size; the digest ties the
-            // record to this exact cell's simulation inputs and rendered
-            // params under the *current* spec.
-            let index = record.index as usize;
-            let cell = ckpt::decode_cell(index, &record.payload)
-                .map_err(|e| SweepError(format!("cell {index} in {}: {e}", path.display())))?;
-            let expect = ckpt::cell_key_digest(&cells[index].run_key(), &cell.params);
-            if record.key_digest != expect {
-                return Err(SweepError(format!(
-                    "cell {index} in {} does not match the current spec \
-                     (rerun without --resume to start fresh)",
-                    path.display()
-                )));
-            }
-            // Duplicate indices: last record wins (a re-run after a crash
-            // that lost the in-memory dedup can legitimately re-append).
-            loaded.insert(index, cell);
-        }
-        store
+        (store, records)
     } else {
         report.fresh_start = config.resume;
-        guarded_io(
+        let store = guarded_io(
             policy,
             telemetry,
             IoOp::Open,
@@ -1093,10 +1064,29 @@ fn open_store(
             StoreError::kind,
             |_| SweepStore::create(&path, header),
         )
-        .map_err(SweepError)?
+        .map_err(SweepError)?;
+        (store, Vec::new())
     };
-    report.loaded = loaded.len();
-    Ok((store, loaded, report))
+    let mut slots: Vec<Option<CellResult>> = (0..cells.len()).map(|_| None).collect();
+    for record in records {
+        // The store guarantees index < grid_size; the digest ties the
+        // record to this exact cell's simulation inputs and rendered
+        // params under the *current* spec.
+        let index = record.index as usize;
+        let cell = ckpt::decode_cell(index, &record.payload)
+            .map_err(|e| SweepError(format!("cell {index} in {}: {e}", path.display())))?;
+        if record.key_digest != ckpt::record_digest(&cells[index], &cell.params) {
+            return Err(SweepError(format!(
+                "cell {index} in {} does not match the current spec \
+                 (rerun without --resume to start fresh)",
+                path.display()
+            )));
+        }
+        // Duplicate indices: last record wins (a re-run after a crash
+        // that lost the in-memory dedup can legitimately re-append).
+        slots[index] = Some(cell);
+    }
+    Ok((store, slots, report))
 }
 
 fn run_sweep_inner(
@@ -1110,12 +1100,13 @@ fn run_sweep_inner(
     let cells = timed(telemetry, Phase::Plan, || sweep.cells())?;
     let cache = RunCache::default();
 
-    // Checkpointing: open/create the store and split the grid into cells
-    // already on disk and cells still to evaluate. Without a config this
-    // collapses to "everything is missing" and zero extra work.
-    let (writer, loaded, mut report) = match config {
+    // Checkpointing: open/create the store and fill the grid slots of the
+    // cells already on disk; the empty slots are still to evaluate.
+    // Without a config this collapses to "everything is missing" and zero
+    // extra work.
+    let (writer, mut slots, mut report) = match config {
         Some(cfg) => {
-            let (store, loaded, report) = open_store(sweep, &cells, cfg, policy, telemetry)?;
+            let (store, slots, report) = open_store(sweep, &cells, cfg, policy, telemetry)?;
             let writer = Mutex::new(CkptWriter {
                 store,
                 written: 0,
@@ -1123,26 +1114,28 @@ fn run_sweep_inner(
                 // directive feed the same counter; the config wins.
                 crash_after: cfg.crash_after_cells.or(policy.faults.crash_after_cells()),
             });
-            (Some(writer), loaded, Some(report))
+            (Some(writer), slots, Some(report))
         }
-        None => (None, HashMap::new(), None),
+        None => (None, (0..n).map(|_| None).collect(), None),
     };
     // "Resumed" cells are the ones a resume run evaluates on top of an
     // existing store (a fresh start under --resume is just a plain run).
     let resuming =
         config.is_some_and(|c| c.resume) && report.as_ref().is_some_and(|r| !r.fresh_start);
-    let missing: Vec<usize> = (0..n).filter(|i| !loaded.contains_key(i)).collect();
+    let missing: Vec<usize> = (0..n).filter(|&i| slots[i].is_none()).collect();
+    let loaded = n - missing.len();
     if let Some(r) = report.as_mut() {
+        r.loaded = loaded;
         r.evaluated = missing.len();
     }
     if let Some(t) = telemetry {
-        if !loaded.is_empty() {
-            t.counters.add(Counter::CellsSkipped, loaded.len() as u64);
+        if loaded > 0 {
+            t.counters.add(Counter::CellsSkipped, loaded as u64);
         }
     }
     if let Some(progress) = telemetry.and_then(|t| t.progress.as_ref()) {
         progress.set_cells_total(n as u64);
-        for _ in 0..loaded.len() {
+        for _ in 0..loaded {
             progress.cell_done();
         }
     }
@@ -1172,7 +1165,7 @@ fn run_sweep_inner(
             EngineKind::Cluster => cells[i].shards > 1,
             _ => false,
         })
-        .map(|&i| cells[i].run_key())
+        .map(|&i| identity::key(&cells[i], Scope::Run))
         .collect::<std::collections::HashSet<_>>()
         .len();
     let replay_threads = capacity.checked_div(distinct_replays).unwrap_or(1).max(1);
@@ -1201,14 +1194,10 @@ fn run_sweep_inner(
             Ok(cell)
         });
 
-    // Merge loaded and evaluated cells back into grid order. Loaded cells
-    // decode to bit-exact copies of their original evaluation, and every
-    // cell is deterministic in (spec, seed, index) — so this vector is
-    // byte-for-byte the uninterrupted run's.
-    let mut slots: Vec<Option<CellResult>> = (0..n).map(|_| None).collect();
-    for (index, cell) in loaded {
-        slots[index] = Some(cell);
-    }
+    // Fill the evaluated cells into the slots the loaded ones left empty.
+    // Loaded cells decode to bit-exact copies of their original
+    // evaluation, and every cell is deterministic in (spec, seed, index) —
+    // so the grid is byte-for-byte the uninterrupted run's.
     for (j, result) in evaluated.into_iter().enumerate() {
         let i = missing[j];
         match result {
@@ -1507,11 +1496,14 @@ mod tests {
         // prep key (single trace generation) even with four run keys.
         let sweep = SweepSpec::from_str(SMALL).unwrap();
         let cells = sweep.cells().unwrap();
-        let keys: std::collections::HashSet<String> = cells.iter().map(prep_key).collect();
-        assert_eq!(keys.len(), 1);
-        let run_keys: std::collections::HashSet<String> =
-            cells.iter().map(|c| c.run_key()).collect();
-        assert_eq!(run_keys.len(), 4);
+        let keys = |scope| {
+            cells
+                .iter()
+                .map(|c| identity::key(c, scope))
+                .collect::<std::collections::HashSet<_>>()
+        };
+        assert_eq!(keys(Scope::Prep).len(), 1);
+        assert_eq!(keys(Scope::Run).len(), 4);
     }
 
     #[test]
@@ -1531,7 +1523,10 @@ mod tests {
         "#;
         let sweep = SweepSpec::from_str(spec).unwrap();
         let cells = sweep.cells().unwrap();
-        assert_eq!(cells[0].run_key(), cells[1].run_key());
+        assert_eq!(
+            identity::key(&cells[0], Scope::Run),
+            identity::key(&cells[1], Scope::Run)
+        );
         let result = run_sweep(&sweep, SweepOptions { threads: 2 }).unwrap();
         let count = |i: usize| {
             result.cells[i]
@@ -1543,6 +1538,37 @@ mod tests {
                 .count
         };
         assert_eq!(count(0) + count(1), 200);
+    }
+
+    #[test]
+    fn prone_sets_are_keyed_by_their_fraction() {
+        // Two fractions over one replay: one run key, two failure-prone
+        // sets, each the one a single-cell sweep at that fraction reads.
+        let spec = |axis: &str| {
+            format!(
+                "[sweep]\nname = \"prone\"\nengine = \"fast\"\nseed = 5\njobs = 200\n\
+                 [axes]\nsample_fraction = {axis}\n"
+            )
+        };
+        let wpr_counts = |text: &str| -> Vec<usize> {
+            let sweep = SweepSpec::from_str(text).unwrap();
+            let result = run_sweep(&sweep, SweepOptions { threads: 2 }).unwrap();
+            result
+                .cells
+                .iter()
+                .map(|c| c.metric("wpr").unwrap().count)
+                .collect()
+        };
+        let sweep = SweepSpec::from_str(&spec("[0.2, 0.9]")).unwrap();
+        let cells = sweep.cells().unwrap();
+        assert_eq!(
+            identity::key(&cells[0], Scope::Run),
+            identity::key(&cells[1], Scope::Run)
+        );
+        let both = wpr_counts(&spec("[0.2, 0.9]"));
+        assert!(both[0] > both[1], "{both:?}");
+        assert_eq!(both[0], wpr_counts(&spec("[0.2]"))[0]);
+        assert_eq!(both[1], wpr_counts(&spec("[0.9]"))[0]);
     }
 
     #[test]
@@ -1999,7 +2025,7 @@ mod tests {
             store
                 .append(&CellRecord {
                     index: i as u64,
-                    key_digest: ckpt::cell_key_digest(&cells[i].run_key(), &plain.cells[i].params),
+                    key_digest: ckpt::record_digest(&cells[i], &plain.cells[i].params),
                     payload: ckpt::encode_cell(&plain.cells[i]),
                 })
                 .unwrap();

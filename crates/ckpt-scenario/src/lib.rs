@@ -18,6 +18,9 @@
 //!   `(seed, cell_index)` (thread-count-invariant results), and a
 //!   once-per-run-key cache so cells that differ only in aggregation
 //!   filters share a single replay.
+//! * [`identity`] — one encoder of what a result depends on, in three
+//!   scopes (prep, run, sweep): the executor's caches key on its words,
+//!   and the checkpoint store's digests hash the same words.
 //! * [`agg`] — streaming per-cell reduction to mean/p50/p99/min/max
 //!   summaries.
 //! * [`ckpt`] — checkpointed sweeps, the paper's own mechanism applied to
@@ -67,6 +70,7 @@ pub mod agg;
 pub mod ckpt;
 pub mod exec;
 pub mod export;
+pub mod identity;
 pub mod parse;
 pub mod spec;
 pub mod sweep;

@@ -282,40 +282,15 @@ impl ScenarioSpec {
             .with_cost(self.cost)
     }
 
-    /// A key identifying everything that affects the *simulation*: cells
-    /// sharing a run key share one replay. The aggregation filters
-    /// (`sample`, `structure`, `priority`, `max_task_length`) deliberately
-    /// do not enter the key.
+    /// The run identity as text: the 16 hex digits of the digest of
+    /// everything that affects the *simulation* (the run scope of
+    /// [`crate::identity`]; the aggregation filters do not enter it).
+    /// [`crate::ckpt::cell_key_digest`] of this key and a cell's params is
+    /// the digest the executor stores for that cell. The executor itself
+    /// keys on the typed words, never on this text.
     pub fn run_key(&self) -> String {
-        format!(
-            "{:?}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{}|{:?}",
-            self.engine,
-            self.seed,
-            self.jobs,
-            self.trace_file,
-            self.workload,
-            self.failure_model,
-            self.failure_shape,
-            self.failure_scale,
-            self.policy,
-            self.estimator,
-            self.adaptive,
-            self.storage,
-            self.cost,
-            self.cluster,
-            // Sharding changes the simulation (shard-local scheduling and
-            // per-shard RNG streams), so it is replay identity.
-            self.shards,
-            self.device,
-            self.mem_mb,
-            self.n_checkpoints,
-            self.degree,
-            self.reps,
-            // Streaming cells produce stream-shaped run data, so the
-            // aggregation mode is part of the replay identity (unlike the
-            // record filters, which never enter the key).
-            self.metrics,
-        )
+        let digits = crate::identity::hex_digits(crate::identity::run_digest(self));
+        digits.iter().map(|&b| char::from(b)).collect()
     }
 
     /// Apply one `key = value` assignment (used for both base-scenario
@@ -556,6 +531,10 @@ fn parse_device(s: &str) -> Result<Device, String> {
 mod tests {
     use super::*;
 
+    fn run_key(s: &ScenarioSpec) -> Vec<u64> {
+        crate::identity::key(s, crate::identity::Scope::Run)
+    }
+
     #[test]
     fn defaults_match_paper_primary_config() {
         let s = ScenarioSpec::new("t");
@@ -595,13 +574,13 @@ mod tests {
     #[test]
     fn filters_do_not_change_the_run_key() {
         let mut a = ScenarioSpec::new("x");
-        let base_key = a.run_key();
+        let base_key = run_key(&a);
         a.apply("structure", &Value::Str("BoT".into())).unwrap();
         a.apply("priority", &Value::Num(2.0)).unwrap();
         a.apply("max_task_length", &Value::Num(1000.0)).unwrap();
-        assert_eq!(a.run_key(), base_key);
+        assert_eq!(run_key(&a), base_key);
         a.apply("policy", &Value::Str("daly".into())).unwrap();
-        assert_ne!(a.run_key(), base_key);
+        assert_ne!(run_key(&a), base_key);
     }
 
     #[test]
@@ -676,13 +655,13 @@ mod tests {
     #[test]
     fn failure_model_enters_the_run_key() {
         let mut a = ScenarioSpec::new("x");
-        let base_key = a.run_key();
+        let base_key = run_key(&a);
         a.apply("failure_model", &Value::Str("pareto".into()))
             .unwrap();
-        assert_ne!(a.run_key(), base_key);
-        let with_default_shape = a.run_key();
+        assert_ne!(run_key(&a), base_key);
+        let with_default_shape = run_key(&a);
         a.apply("failure_shape", &Value::Num(1.8)).unwrap();
-        assert_ne!(a.run_key(), with_default_shape);
+        assert_ne!(run_key(&a), with_default_shape);
     }
 
     #[test]
@@ -715,12 +694,12 @@ mod tests {
         assert!(s.apply("shards", &Value::Num(0.0)).is_err());
         assert!(s.apply("shards", &Value::Num(2.5)).is_err());
         assert!(s.apply("shards", &Value::Str("four".into())).is_err());
-        let unsharded_key = s.run_key();
+        let unsharded_key = run_key(&s);
         s.apply("shards", &Value::Num(4.0)).unwrap();
         assert_eq!(s.shards, 4);
         // Sharding changes the simulation, so cells with different shard
         // counts must never share a replay.
-        assert_ne!(s.run_key(), unsharded_key);
+        assert_ne!(run_key(&s), unsharded_key);
     }
 
     #[test]

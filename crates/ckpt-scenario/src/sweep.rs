@@ -291,24 +291,23 @@ impl SweepSpec {
     }
 
     /// The axis assignments of cell `index` (row-major, last axis fastest),
-    /// as `(param, value)` pairs in axis order.
-    pub fn cell_params(&self, index: usize) -> Vec<(String, Value)> {
-        let mut rem = index;
-        let mut rev: Vec<(String, Value)> = Vec::with_capacity(self.axes.len());
-        for axis in self.axes.iter().rev() {
+    /// borrowed from the axes, as `(param, value)` pairs in axis order.
+    pub fn cell_values(&self, index: usize) -> impl Iterator<Item = (&str, &Value)> + '_ {
+        // Axis j's digit is index / (product of the later axes' lengths),
+        // modulo its own length.
+        let mut stride = self.grid_size();
+        self.axes.iter().map(move |axis| {
             let n = axis.values.len();
-            rev.push((axis.param.clone(), axis.values[rem % n].clone()));
-            rem /= n;
-        }
-        rev.reverse();
-        rev
+            stride /= n;
+            (axis.param.as_str(), &axis.values[(index / stride) % n])
+        })
     }
 
     /// Materialize cell `index` as a full scenario.
     pub fn cell(&self, index: usize) -> Result<ScenarioSpec, SweepError> {
         let mut s = self.base.clone();
-        for (param, value) in self.cell_params(index) {
-            s.apply(&param, &value)
+        for (param, value) in self.cell_values(index) {
+            s.apply(param, value)
                 .map_err(|e| SweepError(format!("cell {index}: {e}")))?;
         }
         Ok(s)
@@ -316,7 +315,12 @@ impl SweepSpec {
 
     /// Materialize the whole grid in cell order.
     pub fn cells(&self) -> Result<Vec<ScenarioSpec>, SweepError> {
-        (0..self.grid_size()).map(|i| self.cell(i)).collect()
+        let n = self.grid_size();
+        let mut cells = Vec::with_capacity(n);
+        for i in 0..n {
+            cells.push(self.cell(i)?);
+        }
+        Ok(cells)
     }
 }
 

@@ -38,12 +38,16 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// On-disk format magic, bumped together with [`FORMAT_VERSION`].
+/// On-disk format magic. It never changes, so a store written by any
+/// earlier build still reaches the [`FORMAT_VERSION`] check and fails
+/// with the named version error.
 pub const MAGIC: [u8; 8] = *b"CKPTSWP\x01";
 
-/// On-disk format version; stores written by a different version are
-/// rejected at open time.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk format version, covering the frame layout and the caller's
+/// identity digests; stores written by a different version are rejected
+/// at open time. Version 2: the sweep layer's digests hash typed identity
+/// words instead of the `Debug` text of the spec.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header size on disk: magic + version + reserved + 4 identity words +
 /// header checksum.

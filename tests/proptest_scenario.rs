@@ -54,8 +54,8 @@ proptest! {
         prop_assert_eq!(sweep.cells().unwrap().len(), expected);
         // Row-major order: consecutive cells differ in the last axis.
         if expected > 1 && *lens.last().unwrap() > 1 {
-            let p0 = sweep.cell_params(0);
-            let p1 = sweep.cell_params(1);
+            let p0: Vec<_> = sweep.cell_values(0).collect();
+            let p1: Vec<_> = sweep.cell_values(1).collect();
             prop_assert_eq!(&p0[..p0.len() - 1], &p1[..p1.len() - 1]);
             prop_assert_ne!(&p0[p0.len() - 1], &p1[p1.len() - 1]);
         }

@@ -861,3 +861,92 @@ fn resume_without_checkpoint_dir_is_a_named_error() {
     std::fs::remove_file(&spec).ok();
     std::fs::remove_dir_all(tmp("orphan_ckpt")).ok();
 }
+
+/// Run `SMALL` with a checkpoint store in `ckpt_dir` and return the store's
+/// path.
+fn checkpointed_small(spec: &Path, ckpt_dir: &Path, out_dir: &Path) -> PathBuf {
+    let out = cli()
+        .args(["sweep", "--spec"])
+        .arg(spec)
+        .arg("--out")
+        .arg(out_dir)
+        .arg("--checkpoint-dir")
+        .arg(ckpt_dir)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    ckpt_dir.join("small.sweepckpt")
+}
+
+#[test]
+fn a_store_from_an_earlier_format_version_is_refused_by_version() {
+    let spec = write_spec("v1_spec", SMALL);
+    let ckpt_dir = tmp("v1_ckpt");
+    let out_dir = tmp("v1_out");
+    let store = checkpointed_small(&spec, &ckpt_dir, &out_dir);
+
+    // Rewrite the header as an earlier build wrote it: format version 1
+    // (bytes 8..12), then the header checksum (bytes 48..56) over the
+    // rest, so only the version is wrong.
+    let mut bytes = std::fs::read(&store).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let sum = ckpt_store::fnv1a(&bytes[..48]);
+    bytes[48..56].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&store, &bytes).unwrap();
+
+    let out = cli()
+        .args(["sweep", "--spec"])
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out_dir)
+        .arg("--checkpoint-dir")
+        .arg(&ckpt_dir)
+        .arg("--resume")
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "a version-1 store must not resume");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("store format version 1, this build reads 2"),
+        "{err}"
+    );
+    assert!(!err.contains("different sweep"), "{err}");
+
+    for d in [&ckpt_dir, &out_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    std::fs::remove_file(&spec).ok();
+}
+
+#[test]
+fn stored_record_digests_are_the_cell_key_digests_of_run_keys() {
+    let spec = write_spec("keys_spec", SMALL);
+    let ckpt_dir = tmp("keys_ckpt");
+    let out_dir = tmp("keys_out");
+    let store = checkpointed_small(&spec, &ckpt_dir, &out_dir);
+
+    let cells = ckpt_scenario::SweepSpec::from_str(SMALL)
+        .unwrap()
+        .cells()
+        .unwrap();
+    let (_, records, _) = ckpt_store::SweepStore::open(&store).unwrap();
+    assert_eq!(records.len(), cells.len());
+    for record in records {
+        let i = record.index as usize;
+        let cell = ckpt_scenario::ckpt::decode_cell(i, &record.payload).unwrap();
+        assert_eq!(
+            record.key_digest,
+            ckpt_scenario::ckpt::cell_key_digest(&cells[i].run_key(), &cell.params),
+            "cell {i}"
+        );
+    }
+
+    for d in [&ckpt_dir, &out_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+    std::fs::remove_file(&spec).ok();
+}
