@@ -6,7 +6,10 @@
 //! Format: one row per task, job attributes repeated —
 //! `job_id,arrival_s,priority,structure,flip_fraction,flip_priority,task_id,task_idx,length_s,mem_mb`
 //! with a `# seed=<seed>` comment line carrying the RNG seed (so failure
-//! streams reproduce).
+//! streams reproduce). Task ids index the kill-plan arena
+//! ([`crate::plan::FailurePlanArena`]), so a trace of `n` task rows must
+//! number its tasks `0..n`, each id once — the numbering
+//! [`crate::gen::generate`] produces — and [`read_csv`] rejects any other.
 
 use crate::failure::FailureModelSpec;
 use crate::gen::{JobSpec, JobStructure, PriorityFlip, TaskSpec, Trace};
@@ -96,12 +99,16 @@ fn parse<T: std::str::FromStr>(s: &str, line: usize, what: &str) -> Result<T, Ex
 }
 
 /// Read a trace back from CSV. Tasks of a job must be contiguous rows (the
-/// format [`write_csv`] produces).
+/// format [`write_csv`] produces), and the task ids must be `0..n` for `n`
+/// task rows, each once (see the module docs); a parse error names the
+/// first row that breaks this.
 pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<Trace, ExportError> {
     let f = BufReader::new(std::fs::File::open(path)?);
     let mut seed = 0u64;
     let mut failure_model = FailureModelSpec::default();
     let mut jobs: Vec<JobSpec> = Vec::new();
+    // `(task id, line)` of every task row, checked once `n` is known.
+    let mut ids: Vec<(u64, usize)> = Vec::new();
     for (i, line) in f.lines().enumerate() {
         let line = line?;
         let lineno = i + 1;
@@ -156,6 +163,7 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<Trace, ExportError> {
             length_s: parse(cols[8], lineno, "length_s")?,
             mem_mb: parse(cols[9], lineno, "mem_mb")?,
         };
+        ids.push((task.id, lineno));
         match jobs.last_mut() {
             Some(last) if last.id == job_id => last.tasks.push(task),
             _ => jobs.push(JobSpec {
@@ -167,6 +175,25 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<Trace, ExportError> {
                 flip,
             }),
         }
+    }
+    let n = ids.len();
+    let mut seen = vec![false; n];
+    for (id, line) in ids {
+        let fault = if id >= n as u64 {
+            "is out of range"
+        } else if std::mem::replace(&mut seen[id as usize], true) {
+            "is a duplicate"
+        } else {
+            continue;
+        };
+        return Err(ExportError::Parse {
+            line,
+            what: format!(
+                "task_id {id} {fault}: {n} task rows must number their tasks 0 to {}, \
+                 each id once",
+                n - 1
+            ),
+        });
     }
     Ok(Trace {
         jobs,
@@ -268,6 +295,54 @@ mod tests {
         let err2 = read_csv(&path2).unwrap_err();
         assert!(matches!(err2, ExportError::Parse { .. }), "{err2}");
         std::fs::remove_file(&path2).ok();
+    }
+
+    /// A written trace with the task ids of some rows replaced, as
+    /// `(task row, id)` pairs. Line 1 is the seed and line 2 the header,
+    /// so task row `k` (1-based) is line `k + 2`.
+    fn with_task_ids(name: &str, edits: &[(usize, &str)]) -> std::path::PathBuf {
+        let trace = generate(&WorkloadSpec::google_like(30), 782).expect("valid workload spec");
+        let path = tmp(name);
+        write_csv(&trace, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        for &(row, id) in edits {
+            let mut cols: Vec<&str> = lines[row + 1].split(',').collect();
+            cols[6] = id;
+            lines[row + 1] = cols.join(",");
+        }
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        path
+    }
+
+    #[test]
+    fn task_ids_must_number_the_rows_once_each() {
+        // An id past the row count would size the plan arena by it, the
+        // largest id wraps its span count, and a duplicate keeps only one
+        // of two plans: each is a parse error naming its line and id.
+        for (name, row, id, fault) in [
+            ("huge_id", 5, "1000000000000", "is out of range"),
+            ("max_id", 1, "18446744073709551615", "is out of range"),
+            ("dup_id", 4, "2", "is a duplicate"),
+        ] {
+            let path = with_task_ids(name, &[(row, id)]);
+            let err = read_csv(&path).unwrap_err();
+            let ExportError::Parse { line, what } = &err else {
+                panic!("{name}: {err}");
+            };
+            assert_eq!(*line, row + 2, "{name}: {err}");
+            assert!(
+                what.starts_with(&format!("task_id {id} {fault}")),
+                "{name}: {err}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        // Any order of 0..n reads.
+        let path = with_task_ids("swapped_ids", &[(1, "1"), (2, "0")]);
+        let back = read_csv(&path).unwrap();
+        assert_eq!(back.jobs[0].tasks[0].id, 1);
+        assert_eq!(back.jobs[1].tasks[0].id, 0);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -76,6 +76,98 @@ fn generate_then_replay_roundtrip() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Task ids index the kill-plan arena, so a trace whose ids are not
+/// `0..n` once each is a named parse error from every command that reads
+/// it: never an allocation abort (an id of 10^12), a panic (an id of
+/// `u64::MAX`), or a silently different replay (a duplicated id).
+#[test]
+fn traces_with_hostile_task_ids_are_named_errors() {
+    let path = tmp("hostile_base");
+    let gen = cli()
+        .args(["generate", "--jobs", "40", "--seed", "9", "--out"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert!(gen.status.success());
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    // Line 1 is the seed, line 2 the header: line 5 is task row 3.
+    for (name, line, id) in [
+        ("huge_id", 5, "1000000000000"),
+        ("max_id", 3, "18446744073709551615"),
+        ("dup_id", 6, "1"),
+    ] {
+        let rows: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, row)| {
+                if i + 1 != line {
+                    return row.to_string();
+                }
+                let mut cols: Vec<&str> = row.split(',').collect();
+                cols[6] = id;
+                cols.join(",")
+            })
+            .collect();
+        let csv = tmp(name);
+        std::fs::write(&csv, rows.join("\n") + "\n").unwrap();
+        let named = format!("trace parse error at line {line}: task_id {id} ");
+
+        let replay = cli()
+            .args(["replay", "--trace"])
+            .arg(&csv)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&replay.stderr);
+        assert_eq!(replay.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(&named), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+
+        let spec =
+            std::env::temp_dir().join(format!("cloud_ckpt_cli_{}_{name}.toml", std::process::id()));
+        std::fs::write(
+            &spec,
+            format!(
+                "[sweep]\nname = \"{name}\"\nengine = \"fast\"\ntrace_file = {:?}\n\n\
+                 [axes]\npolicy = [\"formula3\", \"young\"]\n",
+                csv.display().to_string()
+            ),
+        )
+        .unwrap();
+        let out_dir =
+            std::env::temp_dir().join(format!("cloud_ckpt_cli_{}_{name}_out", std::process::id()));
+        // Strict: the first failing cell fails the sweep.
+        let strict = cli()
+            .args(["sweep", "--strict", "--spec"])
+            .arg(&spec)
+            .arg("--out")
+            .arg(&out_dir)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&strict.stderr);
+        assert_eq!(strict.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains(&named), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+        // Default: every cell is quarantined with the same named reason.
+        let quarantined = cli()
+            .args(["sweep", "--spec"])
+            .arg(&spec)
+            .arg("--out")
+            .arg(&out_dir)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&quarantined.stderr);
+        assert_eq!(quarantined.status.code(), Some(0), "{name}: {err}");
+        assert!(err.contains("0 cells ok, 2 quarantined"), "{name}: {err}");
+        assert!(err.contains(&named), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+
+        std::fs::remove_file(&csv).ok();
+        std::fs::remove_file(&spec).ok();
+        std::fs::remove_dir_all(&out_dir).ok();
+    }
+}
+
 #[test]
 fn replay_inline_generation() {
     let out = cli()
