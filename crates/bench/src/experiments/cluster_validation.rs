@@ -9,9 +9,9 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::setup_with;
 use crate::report::f;
 use ckpt_report::{row, ExpOutput, Frame, RunContext, Value};
-use ckpt_sim::cluster::{ClusterConfig, ClusterSim};
+use ckpt_sim::cluster::ClusterConfig;
 use ckpt_sim::metrics::mean_wpr;
-use ckpt_sim::{run_trace, Device, PolicyConfig, RunOptions, StorageChoice};
+use ckpt_sim::{Device, PolicyConfig, RunOptions, StorageChoice};
 use ckpt_stats::summary::Summary;
 use ckpt_trace::spec::WorkloadSpec;
 
@@ -63,9 +63,7 @@ impl Experiment for ClusterValidation {
             (PolicyConfig::young(), "Young"),
         ] {
             // Fast path (no cluster effects).
-            let fast = s.sample_only(&run_trace(
-                &s.trace,
-                &s.estimates,
+            let fast = s.sample_only(&s.replay(
                 &policy,
                 RunOptions {
                     threads: ctx.threads,
@@ -73,7 +71,7 @@ impl Experiment for ClusterValidation {
             ));
             table.push_row(row!["fast", label, "auto", mean_wpr(&fast), "-", "-"]);
             // Full cluster DES.
-            let result = ClusterSim::new(cfg, &s.trace, &s.estimates, policy).run();
+            let result = s.cluster(cfg, policy).run();
             let sample: Vec<_> = result
                 .jobs
                 .iter()
@@ -99,7 +97,7 @@ impl Experiment for ClusterValidation {
             (Device::DmNfs, "DM-NFS"),
         ] {
             let policy = PolicyConfig::formula3().with_storage(StorageChoice::Force(device));
-            let result = ClusterSim::new(cfg, &s.trace, &s.estimates, policy).run();
+            let result = s.cluster(cfg, policy).run();
             let sm = Summary::from_slice(&result.checkpoint_durations).map_err(|_| {
                 "no checkpoint durations were recorded in the forced-storage cluster run"
             })?;

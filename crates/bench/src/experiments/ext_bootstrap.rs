@@ -7,7 +7,7 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::{setup_ctx, Scale};
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::wprs;
-use ckpt_sim::{run_trace, PolicyConfig, RunOptions};
+use ckpt_sim::{PolicyConfig, RunOptions};
 use ckpt_stats::bootstrap::{bootstrap_mean_ci, bootstrap_paired_diff_ci};
 
 /// Bootstrap-CI extension experiment.
@@ -33,18 +33,8 @@ impl Experiment for ExtBootstrap {
             threads: ctx.threads,
         };
 
-        let f3 = s.sample_only(&run_trace(
-            &s.trace,
-            &s.estimates,
-            &PolicyConfig::formula3(),
-            opts,
-        ));
-        let yg = s.sample_only(&run_trace(
-            &s.trace,
-            &s.estimates,
-            &PolicyConfig::young(),
-            opts,
-        ));
+        let f3 = s.sample_only(&s.replay(&PolicyConfig::formula3(), opts));
+        let yg = s.sample_only(&s.replay(&PolicyConfig::young(), opts));
         let w_f3 = wprs(&f3);
         let w_yg = wprs(&yg);
 

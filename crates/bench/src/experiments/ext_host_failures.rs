@@ -8,7 +8,7 @@
 use crate::exp::{ExpResult, Experiment};
 use crate::harness::setup_with;
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
-use ckpt_sim::cluster::{ClusterConfig, ClusterSim};
+use ckpt_sim::cluster::ClusterConfig;
 use ckpt_sim::metrics::mean_wpr;
 use ckpt_sim::PolicyConfig;
 use ckpt_trace::spec::WorkloadSpec;
@@ -53,7 +53,7 @@ impl Experiment for ExtHostFailures {
                 ("Formula(3)", PolicyConfig::formula3()),
                 ("none", PolicyConfig::none()),
             ] {
-                let result = ClusterSim::new(cfg, &s.trace, &s.estimates, policy).run();
+                let result = s.cluster(cfg, policy).run();
                 let jobs: Vec<_> = result.jobs.iter().map(|j| j.base.clone()).collect();
                 table.push_row(row![
                     mtbf.map(|m| format!("{:.0} min", m / 60.0))

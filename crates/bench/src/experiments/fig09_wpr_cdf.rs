@@ -12,7 +12,7 @@ use crate::harness::{setup_ctx, Scale};
 use crate::report::ascii_cdf;
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::{mean_wpr, with_structure, wpr_ecdf};
-use ckpt_sim::{run_trace, PolicyConfig, RunOptions};
+use ckpt_sim::{PolicyConfig, RunOptions};
 use ckpt_trace::gen::JobStructure;
 
 /// Figure 9 experiment.
@@ -38,8 +38,8 @@ impl Experiment for Fig09WprCdf {
             threads: ctx.threads,
         };
 
-        let f3 = run_trace(&s.trace, &s.estimates, &PolicyConfig::formula3(), opts);
-        let yg = run_trace(&s.trace, &s.estimates, &PolicyConfig::young(), opts);
+        let f3 = s.replay(&PolicyConfig::formula3(), opts);
+        let yg = s.replay(&PolicyConfig::young(), opts);
         let f3 = s.sample_only(&f3);
         let yg = s.sample_only(&yg);
 

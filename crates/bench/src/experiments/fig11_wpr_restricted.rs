@@ -11,7 +11,7 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::{setup_ctx, Scale};
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::{mean_wpr, with_max_length, with_structure, wpr_ecdf};
-use ckpt_sim::{run_trace, EstimatorKind, PolicyConfig, RunOptions};
+use ckpt_sim::{EstimatorKind, PolicyConfig, RunOptions};
 use ckpt_trace::gen::JobStructure;
 
 /// Figure 11 experiment.
@@ -61,8 +61,8 @@ impl Experiment for Fig11WprRestricted {
             let est = EstimatorKind::PerPriority { limit: rl };
             let f3 = PolicyConfig::formula3().with_estimator(est);
             let yg = PolicyConfig::young().with_estimator(est);
-            let recs_f3 = s.sample_only(&run_trace(&s.trace, &s.estimates, &f3, opts));
-            let recs_yg = s.sample_only(&run_trace(&s.trace, &s.estimates, &yg, opts));
+            let recs_f3 = s.sample_only(&s.replay(&f3, opts));
+            let recs_yg = s.sample_only(&s.replay(&yg, opts));
             for structure in [JobStructure::Sequential, JobStructure::BagOfTasks] {
                 for (label, recs) in [("Formula(3)", &recs_f3), ("Young", &recs_yg)] {
                     let sub = with_max_length(&with_structure(recs, structure), rl);

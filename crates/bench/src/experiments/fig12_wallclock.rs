@@ -9,7 +9,7 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::{setup_ctx, Scale};
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::{paired_wall_clock, with_max_length};
-use ckpt_sim::{run_trace, EstimatorKind, PolicyConfig, RunOptions};
+use ckpt_sim::{EstimatorKind, PolicyConfig, RunOptions};
 use ckpt_stats::ecdf::Ecdf;
 
 /// Figure 12 experiment.
@@ -60,14 +60,8 @@ impl Experiment for Fig12Wallclock {
         for rl in [1000.0, 4000.0] {
             let f3 = PolicyConfig::formula3().with_estimator(est);
             let yg = PolicyConfig::young().with_estimator(est);
-            let recs_f3 = with_max_length(
-                &s.sample_only(&run_trace(&s.trace, &s.estimates, &f3, opts)),
-                rl,
-            );
-            let recs_yg = with_max_length(
-                &s.sample_only(&run_trace(&s.trace, &s.estimates, &yg, opts)),
-                rl,
-            );
+            let recs_f3 = with_max_length(&s.sample_only(&s.replay(&f3, opts)), rl);
+            let recs_yg = with_max_length(&s.sample_only(&s.replay(&yg, opts)), rl);
             // Paired per job: Young − Formula(3) wall-clock difference.
             let pairs = paired_wall_clock(&recs_yg, &recs_f3);
             if pairs.is_empty() {

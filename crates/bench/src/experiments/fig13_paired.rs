@@ -11,7 +11,7 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::{setup_ctx, Scale};
 use ckpt_report::{row, ExpOutput, Frame, RunContext, Value};
 use ckpt_sim::metrics::{paired_wall_clock, with_max_length};
-use ckpt_sim::{run_trace, EstimatorKind, PolicyConfig, RunOptions};
+use ckpt_sim::{EstimatorKind, PolicyConfig, RunOptions};
 
 const RL: f64 = 1000.0;
 
@@ -45,14 +45,8 @@ impl Experiment for Fig13Paired {
         };
         let f3 = PolicyConfig::formula3().with_estimator(est);
         let yg = PolicyConfig::young().with_estimator(est);
-        let recs_f3 = with_max_length(
-            &s.sample_only(&run_trace(&s.trace, &s.estimates, &f3, opts)),
-            RL,
-        );
-        let recs_yg = with_max_length(
-            &s.sample_only(&run_trace(&s.trace, &s.estimates, &yg, opts)),
-            RL,
-        );
+        let recs_f3 = with_max_length(&s.sample_only(&s.replay(&f3, opts)), RL);
+        let recs_yg = with_max_length(&s.sample_only(&s.replay(&yg, opts)), RL);
 
         // ratio = wall(F3) / wall(Young): < 1 means Formula (3) is faster.
         let pairs = paired_wall_clock(&recs_f3, &recs_yg);

@@ -12,7 +12,7 @@ use crate::harness::{setup_with, Scale};
 use crate::report::ascii_cdf;
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::{mean_wpr, paired_wall_clock, wpr_ecdf, wprs};
-use ckpt_sim::{run_trace, PolicyConfig, RunOptions};
+use ckpt_sim::{PolicyConfig, RunOptions};
 use ckpt_trace::spec::WorkloadSpec;
 
 /// Figure 14 experiment.
@@ -41,8 +41,8 @@ impl Experiment for Fig14Dynamic {
 
         let dynamic_cfg = PolicyConfig::formula3().with_adaptivity(true);
         let static_cfg = PolicyConfig::formula3(); // keeps the start-of-task schedule
-        let dynamic = s.sample_only(&run_trace(&s.trace, &s.estimates, &dynamic_cfg, opts));
-        let fixed = s.sample_only(&run_trace(&s.trace, &s.estimates, &static_cfg, opts));
+        let dynamic = s.sample_only(&s.replay(&dynamic_cfg, opts));
+        let fixed = s.sample_only(&s.replay(&static_cfg, opts));
 
         let e_dyn = wpr_ecdf(&dynamic).ok_or("empty dynamic WPR sample")?;
         let e_sta = wpr_ecdf(&fixed).ok_or("empty static WPR sample")?;

@@ -8,7 +8,7 @@ use crate::exp::{ExpResult, Experiment};
 use crate::harness::{setup_ctx, Scale};
 use ckpt_report::{row, ExpOutput, Frame, RunContext};
 use ckpt_sim::metrics::{lowest_wpr, mean_wpr, with_structure};
-use ckpt_sim::{run_trace, EstimatorKind, PolicyConfig, RunOptions};
+use ckpt_sim::{EstimatorKind, PolicyConfig, RunOptions};
 use ckpt_trace::gen::JobStructure;
 
 /// Table 6 experiment.
@@ -38,8 +38,8 @@ impl Experiment for Table6Precise {
 
         let f3 = PolicyConfig::formula3().with_estimator(EstimatorKind::Oracle);
         let yg = PolicyConfig::young().with_estimator(EstimatorKind::Oracle);
-        let recs_f3 = s.sample_only(&run_trace(&s.trace, &s.estimates, &f3, opts));
-        let recs_yg = s.sample_only(&run_trace(&s.trace, &s.estimates, &yg, opts));
+        let recs_f3 = s.sample_only(&s.replay(&f3, opts));
+        let recs_yg = s.sample_only(&s.replay(&yg, opts));
 
         let mut table = Frame::new(
             "table6_precise",

@@ -5,10 +5,14 @@
 //! (re-exported here) so every layer — experiments, sweeps, CLI — shares
 //! one [`RunContext`].
 
-use ckpt_sim::policy::Estimates;
+use ckpt_sim::cluster::{ClusterConfig, ClusterSim};
+use ckpt_sim::policy::{Estimates, PolicyConfig};
+use ckpt_sim::runner::{run_trace_with_plans, RunOptions};
+use ckpt_sim::JobRecord;
 use ckpt_trace::gen::{generate, Trace};
+use ckpt_trace::plan::FailurePlanArena;
 use ckpt_trace::spec::WorkloadSpec;
-use ckpt_trace::stats::{failure_prone_jobs, trace_histories, TaskRecord};
+use ckpt_trace::stats::{failure_prone_jobs, trace_histories_from_plans, TaskRecord};
 use std::collections::HashSet;
 
 pub use ckpt_report::{seed_from_env, RunContext, Scale, DEFAULT_SEED};
@@ -17,6 +21,10 @@ pub use ckpt_report::{seed_from_env, RunContext, Scale, DEFAULT_SEED};
 pub struct Setup {
     /// The generated trace.
     pub trace: Trace,
+    /// Every task's kill plan, sampled once: the histories below read it,
+    /// and every replay borrows it (`run_trace_with_plans`,
+    /// `ClusterSim::with_plans`), so each policy replays the same kills.
+    pub plans: FailurePlanArena,
     /// Per-task failure histories (the "historical trace events").
     pub records: Vec<TaskRecord>,
     /// Precomputed estimator state.
@@ -40,11 +48,13 @@ pub fn setup_ctx(ctx: &RunContext) -> Result<Setup, String> {
 /// instead of aborting the process.
 pub fn setup_with(spec: WorkloadSpec, seed: u64) -> Result<Setup, String> {
     let trace = generate(&spec, seed).map_err(|e| e.to_string())?;
-    let records = trace_histories(&trace);
+    let plans = FailurePlanArena::build(&trace);
+    let records = trace_histories_from_plans(&trace, &plans);
     let estimates = Estimates::from_records(&records);
     let sample_jobs = failure_prone_jobs(&records, 0.5);
     Ok(Setup {
         trace,
+        plans,
         records,
         estimates,
         sample_jobs,
@@ -52,8 +62,20 @@ pub fn setup_with(spec: WorkloadSpec, seed: u64) -> Result<Setup, String> {
 }
 
 impl Setup {
+    /// Replay the trace under `cfg` on the fast path, borrowing the shared
+    /// kill plans.
+    pub fn replay(&self, cfg: &PolicyConfig, options: RunOptions) -> Vec<JobRecord> {
+        run_trace_with_plans(&self.trace, &self.estimates, cfg, options, &self.plans)
+    }
+
+    /// The cluster DES over the trace under `policy`, built from the
+    /// shared kill plans.
+    pub fn cluster(&self, cfg: ClusterConfig, policy: PolicyConfig) -> ClusterSim<'_> {
+        ClusterSim::with_plans(cfg, &self.trace, &self.estimates, policy, &self.plans)
+    }
+
     /// Restrict job records to the paper's failure-prone sample set.
-    pub fn sample_only(&self, records: &[ckpt_sim::JobRecord]) -> Vec<ckpt_sim::JobRecord> {
+    pub fn sample_only(&self, records: &[JobRecord]) -> Vec<JobRecord> {
         records
             .iter()
             .filter(|r| self.sample_jobs.contains(&r.job_id))

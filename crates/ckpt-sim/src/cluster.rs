@@ -105,7 +105,7 @@ use crate::task_store::{TaskState, TaskStore, NO_HOST, NO_TASK};
 use crate::time::{SimDuration, SimTime};
 use ckpt_obs::{Counter, NoObs, Observer};
 use ckpt_stats::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
-use ckpt_trace::failure::{sample_task_plan, FailureModelSpec, FailureProcess, HazardProcess};
+use ckpt_trace::failure::{FailureModelSpec, FailureProcess, HazardProcess};
 use ckpt_trace::gen::{JobStructure, Trace};
 use ckpt_trace::plan::FailurePlanArena;
 use std::collections::{HashMap, VecDeque};
@@ -277,12 +277,12 @@ pub struct ClusterSim<'a, O: Observer = NoObs> {
     ckpt_durations: Vec<(SimTime, SimTime, f64)>,
     max_concurrent: usize,
     host_failures: u64,
-    /// Kill-plan provenance recorded at build time (one lookup per task):
-    /// transferred to the observer by [`ClusterSim::with_observer`] so the
-    /// arena-identity telemetry invariant covers cluster cells too.
-    plan_lookups: u64,
-    arena_hits: u64,
-    arena_misses: u64,
+    /// Where the build-time kill-plan lookups (one per task) went:
+    /// [`Counter::ArenaHits`] for a shared arena, [`Counter::ArenaMisses`]
+    /// for one the engine sampled itself. [`ClusterSim::with_observer`]
+    /// transfers them, so the arena-identity telemetry invariant covers
+    /// cluster cells too.
+    plan_lookup: Counter,
     /// Tasks not yet completed; host-failure injection stops at zero so the
     /// event queue can drain.
     tasks_remaining: usize,
@@ -297,24 +297,31 @@ pub struct ClusterSim<'a, O: Observer = NoObs> {
 }
 
 impl<'a> ClusterSim<'a> {
-    /// Build a cluster simulation over a trace with a policy, sampling
-    /// every task's kill plan fresh from its failure stream.
+    /// Build a cluster simulation over a trace with a policy, from a
+    /// kill-plan arena sampled for this one engine.
     pub fn new(
         cfg: ClusterConfig,
         trace: &'a Trace,
         estimates: &'a Estimates,
         policy: PolicyConfig,
     ) -> Self {
-        Self::build(cfg, trace, estimates, policy, None, CLUSTER_STREAM)
+        let plans = FailurePlanArena::build(trace);
+        Self::build(
+            cfg,
+            trace,
+            estimates,
+            policy,
+            &plans,
+            Counter::ArenaMisses,
+            CLUSTER_STREAM,
+        )
     }
 
-    /// [`ClusterSim::new`] drawing kill plans from a shared
-    /// [`FailurePlanArena`] instead of re-sampling — byte-identical output
-    /// (the arena holds the exact positions the per-task streams produce),
-    /// minus the whole per-cell sampling pass. This is the sweep engine's
-    /// cross-cell fast path, now shared with the fast engine: one arena
-    /// per `(trace, failure model)` serves every policy/cost cell. The
-    /// arena is only read during construction; nothing borrows it after.
+    /// [`ClusterSim::new`] borrowing kill plans from a shared
+    /// [`FailurePlanArena`] instead of sampling its own — the same output,
+    /// minus the sampling pass. One arena per `(trace, failure model)`
+    /// serves every policy/cost cell of both engines. The arena is only
+    /// read during construction; nothing borrows it after.
     pub fn with_plans(
         cfg: ClusterConfig,
         trace: &'a Trace,
@@ -322,10 +329,19 @@ impl<'a> ClusterSim<'a> {
         policy: PolicyConfig,
         plans: &FailurePlanArena,
     ) -> Self {
-        Self::build(cfg, trace, estimates, policy, Some(plans), CLUSTER_STREAM)
+        Self::build(
+            cfg,
+            trace,
+            estimates,
+            policy,
+            plans,
+            Counter::ArenaHits,
+            CLUSTER_STREAM,
+        )
     }
 
-    /// Build over `trace`, drawing kill plans from `plans` when given. The
+    /// Build over `trace`, copying every task's kill plan out of `plans`
+    /// and attributing the lookups to `plan_lookup` (see the field). The
     /// cluster RNG `stream` is fixed here because the initial host-failure
     /// wave draws from it: shard `s` of a sharded run passes
     /// `CLUSTER_STREAM + s`.
@@ -334,7 +350,8 @@ impl<'a> ClusterSim<'a> {
         trace: &'a Trace,
         estimates: &'a Estimates,
         policy: PolicyConfig,
-        plans: Option<&FailurePlanArena>,
+        plans: &FailurePlanArena,
+        plan_lookup: Counter,
         stream: u64,
     ) -> Self {
         let blcr = BlcrModel;
@@ -346,43 +363,16 @@ impl<'a> ClusterSim<'a> {
             for t in &job.tasks {
                 let plan = plan_task(&policy, &blcr, estimates, t, job.priority);
                 // The same kill plan the history/estimator saw (common
-                // random numbers across policies and with the fast path):
-                // borrowed from the shared arena when one is provided —
-                // it holds exactly the positions the stream produces —
-                // or sampled fresh from the task's own stream.
-                match plans {
-                    Some(arena) => {
-                        store.push(
-                            t.length_s,
-                            t.mem_mb,
-                            plan.device,
-                            plan.ckpt_cost,
-                            plan.restart_cost,
-                            plan.controller,
-                            arena.kills(t.id),
-                        );
-                    }
-                    None => {
-                        let kills = {
-                            let mut rng = trace.failure_stream(t.id);
-                            sample_task_plan(
-                                trace.failure_model,
-                                job.priority,
-                                t.length_s,
-                                &mut rng,
-                            )
-                        };
-                        store.push(
-                            t.length_s,
-                            t.mem_mb,
-                            plan.device,
-                            plan.ckpt_cost,
-                            plan.restart_cost,
-                            plan.controller,
-                            &kills.positions,
-                        );
-                    }
-                }
+                // random numbers across policies and with the fast path).
+                store.push(
+                    t.length_s,
+                    t.mem_mb,
+                    plan.device,
+                    plan.ckpt_cost,
+                    plan.restart_cost,
+                    plan.controller,
+                    plans.kills(t.id),
+                );
             }
             // Successor links for sequential release (idx k → idx k+1).
             let base = job_start[job_idx] as usize;
@@ -436,9 +426,7 @@ impl<'a> ClusterSim<'a> {
             ckpt_durations: Vec::new(),
             max_concurrent: 0,
             host_failures: 0,
-            plan_lookups: 0,
-            arena_hits: 0,
-            arena_misses: 0,
+            plan_lookup,
             tasks_remaining: 0,
             last_activity: SimTime::ZERO,
             now: SimTime::ZERO,
@@ -446,12 +434,6 @@ impl<'a> ClusterSim<'a> {
             obs: NoObs,
         };
         sim.tasks_remaining = sim.store.len();
-        sim.plan_lookups = sim.store.len() as u64;
-        if plans.is_some() {
-            sim.arena_hits = sim.plan_lookups;
-        } else {
-            sim.arena_misses = sim.plan_lookups;
-        }
         for host in 0..cfg.n_hosts {
             if let Some(at) = sim.draw_host_failure(host) {
                 sim.schedule_ev(at, Ev::HostFailure { host: host as u32 });
@@ -480,9 +462,8 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
         // kill-plan lookups transfer the same way, so the arena identity
         // (hits + misses == lookups) holds for cluster cells.
         obs.incr(Counter::EventsScheduled, self.queue.len() as u64);
-        obs.incr(Counter::PlanLookups, self.plan_lookups);
-        obs.incr(Counter::ArenaHits, self.arena_hits);
-        obs.incr(Counter::ArenaMisses, self.arena_misses);
+        obs.incr(Counter::PlanLookups, self.store.len() as u64);
+        obs.incr(self.plan_lookup, self.store.len() as u64);
         ClusterSim {
             cfg: self.cfg,
             trace: self.trace,
@@ -505,9 +486,7 @@ impl<'a, O: Observer> ClusterSim<'a, O> {
             ckpt_durations: self.ckpt_durations,
             max_concurrent: self.max_concurrent,
             host_failures: self.host_failures,
-            plan_lookups: self.plan_lookups,
-            arena_hits: self.arena_hits,
-            arena_misses: self.arena_misses,
+            plan_lookup: self.plan_lookup,
             tasks_remaining: self.tasks_remaining,
             last_activity: self.last_activity,
             now: self.now,
@@ -1309,17 +1288,17 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(counters.get(Counter::EventsPopped), observed.events);
             assert_eq!(counters.get(Counter::HostFailures), observed.host_failures);
-            // Fresh sampling attributes every build-time kill-plan lookup
-            // as a miss (one lookup per task), satisfying the arena
-            // identity `hits + misses == lookups` on cluster cells.
+            // An engine that samples its own arena attributes every
+            // build-time kill-plan lookup as a miss (one lookup per task),
+            // satisfying the arena identity `hits + misses == lookups` on
+            // cluster cells.
             let tasks = trace.task_count() as u64;
             assert_eq!(counters.get(Counter::PlanLookups), tasks, "{name}");
             assert_eq!(counters.get(Counter::ArenaMisses), tasks, "{name}");
             assert_eq!(counters.get(Counter::ArenaHits), 0, "{name}");
 
-            // Routing kills through the shared plan arena is byte-identical
-            // (the arena holds the same draws from the same streams), and
-            // every lookup becomes a hit.
+            // Routing kills through a shared plan arena gives the same
+            // bytes, and every lookup becomes a hit.
             let (arena_run, arena_counters) =
                 ClusterSim::with_plans(cfg, &trace, &est, policy, &plans)
                     .with_observer(ckpt_obs::Counters::new())
@@ -1327,7 +1306,7 @@ mod tests {
             assert_eq!(
                 digest(&arena_run),
                 expected,
-                "{name}: arena-routed kills diverged from fresh sampling"
+                "{name}: shared-arena kills diverged from the engine's own arena"
             );
             arena_counters
                 .verify_invariants(true)

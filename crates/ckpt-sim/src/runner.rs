@@ -22,12 +22,16 @@
 //!
 //! ## The fast-path memory model
 //!
+//! Every kill plan comes from a [`FailurePlanArena`], sampled once per
+//! `(trace, failure model)`: the caller's shared arena when it passes one
+//! (the cross-cell reuse behind sweep throughput, counted as
+//! [`Counter::ArenaHits`]), else one [`replay_trace`] samples at its top
+//! before any job runs (counted as [`Counter::ArenaMisses`]).
+//!
 //! The replay hot loop is allocation-free on a warm worker:
 //!
-//! * kill plans come either from a shared [`FailurePlanArena`] (sampled
-//!   once per `(trace, failure model)` and borrowed as `&[f64]` — the
-//!   cross-cell reuse behind sweep throughput) or are sampled into the
-//!   worker's reusable kill queue;
+//! * each task's plan is copied from the arena into the worker's reusable
+//!   kill queue;
 //! * task outcomes fold straight into the job's [`JobRecord`]
 //!   ([`JobRecord::accumulate`]) — no per-job outcome/length vectors;
 //! * each worker owns one kill queue and one observer, handed out by
@@ -46,9 +50,9 @@ use crate::policy::{plan_task, Estimates, PolicyConfig};
 use crate::task_sim::{simulate_task_queued, ExecFlip, KillQueue, TaskSimSpec};
 use ckpt_obs::{Counter, Counters, NoObs, Observer, SharedCounters};
 use ckpt_stats::rng::Xoshiro256StarStar;
-use ckpt_trace::failure::sample_task_plan_into;
 use ckpt_trace::gen::{JobSpec, Trace};
 use ckpt_trace::plan::FailurePlanArena;
+use std::borrow::Cow;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,8 +79,24 @@ struct ReplayScratch<O> {
     obs: O,
 }
 
-/// Simulate one job, drawing kill plans from `plans` when provided
-/// (bit-identical to fresh sampling: the arena holds the same draws).
+/// The arena an entry replays and the counter each of its lookups ticks:
+/// the caller's shared arena counts [`Counter::ArenaHits`]; without one,
+/// the entry samples its own here, once, and counts
+/// [`Counter::ArenaMisses`].
+pub(crate) fn plans_or_own<'p>(
+    trace: &Trace,
+    plans: Option<&'p FailurePlanArena>,
+) -> (Cow<'p, FailurePlanArena>, Counter) {
+    match plans {
+        Some(shared) => (Cow::Borrowed(shared), Counter::ArenaHits),
+        None => (
+            Cow::Owned(FailurePlanArena::build(trace)),
+            Counter::ArenaMisses,
+        ),
+    }
+}
+
+/// Simulate one job, borrowing every task's kill plan from `plans`.
 /// Counting reads the per-task [`crate::task_sim::TaskOutcome`] *after*
 /// simulation — the innermost simulate loop stays untouched — and with
 /// [`NoObs`] every hook compiles to nothing.
@@ -85,7 +105,7 @@ fn replay_job<O: Observer>(
     job: &JobSpec,
     estimates: &Estimates,
     cfg: &PolicyConfig,
-    plans: Option<&FailurePlanArena>,
+    plans: &FailurePlanArena,
     scratch: &mut ReplayScratch<O>,
 ) -> JobRecord {
     let obs = &mut scratch.obs;
@@ -117,57 +137,24 @@ fn replay_job<O: Observer>(
             ckpt_cost: plan.ckpt_cost,
             restart_cost: plan.restart_cost,
         };
-        // The kill plan is drawn under the trace's failure model (the
-        // default routes through the legacy calibrated sampler on the same
-        // stream, so default output is byte-identical to `simulate_task`).
-        // With a plan arena the sampled plan is borrowed instead, and the
-        // RNG — consumed only if a flip re-draws the remaining plan — is
-        // the task's stream resumed from its post-sampling state, so both
-        // paths produce the same bytes.
-        obs.tick(Counter::PlanLookups);
-        obs.tick(if plans.is_some() {
-            Counter::ArenaHits
+        // The RNG is consumed only if a flip re-draws the remaining plan:
+        // it is the task's stream, resumed right after its plan's draws.
+        scratch.queue.load(plans.kills(task.id));
+        let mut rng = if flip.is_some() {
+            plans
+                .resume_stream(task.id)
+                .expect("plan arena built from a flip trace captures stream states")
         } else {
-            Counter::ArenaMisses
-        });
-        let outcome = match plans {
-            Some(arena) => {
-                scratch.queue.load(arena.kills(task.id));
-                let mut rng = if flip.is_some() {
-                    arena
-                        .resume_stream(task.id)
-                        .expect("plan arena built from a flip trace captures stream states")
-                } else {
-                    // Never consumed: simulate only draws on a flip.
-                    Xoshiro256StarStar::from_state([1, 2, 3, 4])
-                };
-                simulate_task_queued(
-                    &spec,
-                    &mut scratch.queue,
-                    flip,
-                    &mut plan.controller,
-                    &mut rng,
-                )
-            }
-            None => {
-                let mut rng = trace.failure_stream(task.id);
-                let buf = scratch.queue.reset_for_sampling();
-                sample_task_plan_into(
-                    trace.failure_model,
-                    job.priority,
-                    task.length_s,
-                    &mut rng,
-                    buf,
-                );
-                simulate_task_queued(
-                    &spec,
-                    &mut scratch.queue,
-                    flip,
-                    &mut plan.controller,
-                    &mut rng,
-                )
-            }
+            // Never consumed: simulate only draws on a flip.
+            Xoshiro256StarStar::from_state([1, 2, 3, 4])
         };
+        let outcome = simulate_task_queued(
+            &spec,
+            &mut scratch.queue,
+            flip,
+            &mut plan.controller,
+            &mut rng,
+        );
         if O::ENABLED {
             // Simulation facts only (kills, checkpoints, replans): sums
             // over tasks are invariant to thread count and job order.
@@ -332,10 +319,9 @@ impl Replay {
 }
 
 /// Replay the whole trace under a policy, in parallel — the one entry into
-/// the per-job loop. Kill plans come from `plans` when given (byte-identical
-/// to fresh sampling; the arena holds the exact plans the streams produce,
-/// plus the post-sampling stream states for flip re-draws), else they are
-/// sampled per task. `fold` picks the output shape. With `counters`, each
+/// the per-job loop. Kill plans come from `plans` when given (each lookup
+/// an arena hit), else from an arena sampled here before the replay
+/// starts (each lookup a miss). `fold` picks the output shape. With `counters`, each
 /// worker counts into its own [`Counters`] cell, the cells merge once after
 /// the join and land in the bank in one absorb; the totals are sums of
 /// per-task facts, so they are the same at any thread count and for either
@@ -349,10 +335,15 @@ pub fn replay_trace(
     fold: Fold,
     counters: Option<&SharedCounters>,
 ) -> Replay {
+    let (plans, lookup) = plans_or_own(trace, plans);
     match counters {
-        None => replay::<NoObs>(trace, estimates, cfg, options, plans, fold).0,
+        None => replay::<NoObs>(trace, estimates, cfg, options, &plans, fold).0,
         Some(shared) => {
-            let (out, obs) = replay::<Counters>(trace, estimates, cfg, options, plans, fold);
+            let (out, mut obs) = replay::<Counters>(trace, estimates, cfg, options, &plans, fold);
+            // One kill-plan lookup per task, all in the same arena.
+            let tasks = trace.task_count() as u64;
+            obs.incr(Counter::PlanLookups, tasks);
+            obs.incr(lookup, tasks);
             shared.absorb(&obs);
             out
         }
@@ -371,7 +362,7 @@ fn replay<O: Observer>(
     estimates: &Estimates,
     cfg: &PolicyConfig,
     options: RunOptions,
-    plans: Option<&FailurePlanArena>,
+    plans: &FailurePlanArena,
     fold: Fold,
 ) -> (Replay, O) {
     let n = trace.jobs.len();
@@ -413,9 +404,9 @@ fn replay<O: Observer>(
     (out, obs)
 }
 
-/// Replay the whole trace under a policy, in parallel, sampling every kill
-/// plan. Records are returned in job order (deterministic regardless of
-/// thread count).
+/// Replay the whole trace under a policy, in parallel, from a kill-plan
+/// arena sampled for this one call. Records are returned in job order
+/// (deterministic regardless of thread count).
 pub fn run_trace(
     trace: &Trace,
     estimates: &Estimates,
@@ -425,11 +416,11 @@ pub fn run_trace(
     replay_trace(trace, estimates, cfg, options, None, Fold::Records, None).records()
 }
 
-/// [`run_trace`] drawing every kill plan from a shared
-/// [`FailurePlanArena`] instead of re-sampling — byte-identical output,
-/// minus the whole sampling pass. This is the sweep engine's cross-cell
-/// fast path: one arena per `(trace, failure model)` serves every
-/// policy/cost cell.
+/// [`run_trace`] borrowing every kill plan from a shared
+/// [`FailurePlanArena`] instead of sampling its own — the same output,
+/// minus the sampling pass. This is the cross-cell fast path of the sweep
+/// engine and the experiments: one arena per `(trace, failure model)`
+/// serves every policy/cost cell.
 pub fn run_trace_with_plans(
     trace: &Trace,
     estimates: &Estimates,
@@ -610,6 +601,8 @@ mod tests {
         }
     }
 
+    /// A shared arena and the one `run_trace` samples for itself replay
+    /// the same records, at any thread count.
     #[test]
     fn plan_arena_replay_is_byte_identical() {
         let (trace, est) = setup(150, 21);
@@ -620,10 +613,10 @@ mod tests {
             PolicyConfig::none(),
             PolicyConfig::formula3().with_adaptivity(true),
         ] {
-            let fresh = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
-            let cached =
+            let own = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
+            let shared =
                 run_trace_with_plans(&trace, &est, &cfg, RunOptions { threads: 2 }, &plans);
-            assert_eq!(fresh, cached, "{:?}", cfg.kind);
+            assert_eq!(own, shared, "{:?}", cfg.kind);
         }
     }
 
@@ -640,10 +633,10 @@ mod tests {
             PolicyConfig::formula3().with_adaptivity(true),
             PolicyConfig::young(),
         ] {
-            let fresh = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
-            let cached =
+            let own = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
+            let shared =
                 run_trace_with_plans(&trace, &est, &cfg, RunOptions { threads: 1 }, &plans);
-            assert_eq!(fresh, cached, "{:?}", cfg.kind);
+            assert_eq!(own, shared, "{:?}", cfg.kind);
         }
     }
 
@@ -841,7 +834,7 @@ mod tests {
         assert_eq!(c.get(Counter::ArenaHits), tasks);
         assert_eq!(c.get(Counter::ArenaMisses), 0);
 
-        // Without: every lookup misses (plans sampled on the fly).
+        // Without: every lookup misses (the entry samples its own arena).
         let shared = SharedCounters::new();
         run_trace_counted(&trace, &est, &cfg, RunOptions { threads: 2 }, None, &shared);
         let c = shared.snapshot();

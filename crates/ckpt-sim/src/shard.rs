@@ -23,9 +23,10 @@
 //!   `(seed, shard)`-style like sweep cells. Shard 0 consumes the exact
 //!   legacy stream, so a 1-shard run is bit-identical to the unsharded
 //!   engine by construction.
-//! * **Kill plans** come from the shared [`FailurePlanArena`] unchanged:
-//!   the arena is keyed by *global* task id, so per-shard sub-traces
-//!   slice it for free.
+//! * **Kill plans** come from one [`FailurePlanArena`] for the whole run:
+//!   the caller's (see [`ShardedClusterSim::with_plans`]), or one sampled
+//!   over the full trace before any shard starts. The arena is keyed by
+//!   *global* task id, so per-shard sub-traces slice it for free.
 //!
 //! ## Run to completion, fold once
 //!
@@ -69,7 +70,7 @@ use crate::cluster::{
     CLUSTER_STREAM,
 };
 use crate::policy::{Estimates, PolicyConfig};
-use crate::runner::parallel_indexed;
+use crate::runner::{parallel_indexed, plans_or_own};
 use crate::time::SimTime;
 use ckpt_obs::{Counter, NoObs, Observer, Progress};
 use ckpt_stats::rng::SplitMix64;
@@ -190,8 +191,10 @@ impl<'a> ShardedClusterSim<'a> {
         }
     }
 
-    /// Draw kill plans from a shared [`FailurePlanArena`] (keyed by global
-    /// task id, so the per-shard sub-traces slice it without copying).
+    /// Borrow kill plans from a shared [`FailurePlanArena`] (keyed by
+    /// global task id, so the per-shard sub-traces slice it without
+    /// copying). Without one, [`ShardedClusterSim::run_observed`] samples
+    /// an arena over the whole trace, once, before any shard starts.
     pub fn with_plans(mut self, plans: &'a FailurePlanArena) -> Self {
         self.plans = Some(plans);
         self
@@ -228,6 +231,7 @@ impl<'a> ShardedClusterSim<'a> {
         progress: Option<&Progress>,
     ) -> Result<(ClusterRunResult, O), String> {
         let plan = ShardPlan::new(self.trace, self.shards, self.cfg.n_hosts)?;
+        let (plans, plan_lookup) = plans_or_own(self.trace, self.plans);
         let budget = SimBudget {
             progress_every: if progress.is_some() {
                 PROGRESS_EVERY
@@ -253,7 +257,8 @@ impl<'a> ShardedClusterSim<'a> {
                 &plan.sub_traces[s],
                 self.estimates,
                 self.policy,
-                self.plans,
+                &plans,
+                plan_lookup,
                 CLUSTER_STREAM + s as u64,
             )
             .with_metrics(self.metrics_mode)
@@ -474,12 +479,12 @@ mod tests {
             );
             assert_eq!(legacy.events, sharded.events, "model {model:?}");
 
-            // Fresh-sampling path too (no arena).
-            let legacy_fresh = ClusterSim::new(cfg, &trace, &est, policy).run();
-            let sharded_fresh = ShardedClusterSim::new(cfg, &trace, &est, policy, 1)
+            // Without a shared arena too (each entry samples its own).
+            let legacy_own = ClusterSim::new(cfg, &trace, &est, policy).run();
+            let sharded_own = ShardedClusterSim::new(cfg, &trace, &est, policy, 1)
                 .run()
                 .unwrap();
-            assert_eq!(digest(&legacy_fresh), digest(&sharded_fresh), "{model:?}");
+            assert_eq!(digest(&legacy_own), digest(&sharded_own), "{model:?}");
         }
     }
 

@@ -167,12 +167,6 @@ impl KillQueue {
         self.buf.clear();
         self.buf.extend_from_slice(kills);
     }
-
-    /// The buffer the replay loads fresh samples into (cleared).
-    pub fn reset_for_sampling(&mut self) -> &mut Vec<f64> {
-        self.buf.clear();
-        &mut self.buf
-    }
 }
 
 /// Execute one task to completion, drawing its kill plan from `rng` (the

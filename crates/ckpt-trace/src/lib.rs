@@ -43,4 +43,4 @@ pub use failure::{FailureKind, FailureModelSpec, FailureProcess, HazardProcess};
 pub use gen::{generate, JobSpec, JobStructure, TaskSpec, Trace, WorkloadError};
 pub use plan::FailurePlanArena;
 pub use spec::{FailureModel, WorkloadSpec, NUM_PRIORITIES};
-pub use stats::{history_for_task, trace_histories, trace_histories_from_plans};
+pub use stats::{trace_histories, trace_histories_from_plans};

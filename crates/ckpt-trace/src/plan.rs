@@ -6,22 +6,26 @@
 //! priority, task length)` — the *policy* never enters the draw (that is
 //! precisely the paper's common-random-numbers methodology: every policy
 //! replays the same kills, which makes the Figure 13 paired comparisons
-//! exact). A sweep that evaluates one workload under N policy/cost cells
-//! therefore re-samples N identical plan sets; this arena samples them
-//! once per `(trace, failure model)` and shares the result across every
-//! cell, bit-identically.
+//! exact). [`FailurePlanArena::build`] is the one place a task's initial
+//! kill plan is drawn. The failure histories, the fast replay and the
+//! cluster engine all read it, and an entry that is handed no arena
+//! builds one at its top, so one sampling pass per `(trace, failure
+//! model)` can serve every policy cell.
 //!
-//! Two details make the sharing exact rather than approximate:
+//! Two details make the sharing work:
 //!
 //! * Positions are stored in **one flat buffer** with per-task spans, so a
 //!   replay borrows a `&[f64]` instead of materializing a per-task `Vec`.
+//!   Spans are indexed by task id, so ids must be unique (every generated
+//!   trace numbers its tasks `0..n`, and `export::read_csv` rejects any
+//!   other numbering).
 //! * When the trace contains mid-run priority flips, the executor draws a
 //!   *fresh* plan for the remaining work from the task's stream — draws
 //!   that come **after** the plan's own. The arena captures each task's
 //!   stream state right after sampling ([`Xoshiro256StarStar::state`]),
-//!   so an arena-backed replay resumes the stream exactly where a
-//!   fresh-sampling replay would be. Traces without flips never touch the
-//!   stream again, and the capture is skipped.
+//!   and [`FailurePlanArena::resume_stream`] continues it from there.
+//!   Traces without flips never touch the stream again, and the capture
+//!   is skipped.
 
 use crate::failure::sample_task_plan_into;
 use crate::gen::Trace;
@@ -41,8 +45,8 @@ pub struct FailurePlanArena {
 }
 
 impl FailurePlanArena {
-    /// Sample every task's plan from its own failure stream, exactly as
-    /// [`crate::stats::history_for_task`] and the fast replay do.
+    /// Sample every task's plan from its own failure stream
+    /// ([`Trace::failure_stream`]) under the trace's failure model.
     pub fn build(trace: &Trace) -> Self {
         let max_id = trace
             .tasks()
@@ -98,9 +102,9 @@ impl FailurePlanArena {
     }
 
     /// Resume task `task_id`'s failure stream from right after its plan
-    /// was sampled — the state a fresh-sampling replay would be in when
-    /// the executor starts. `None` when states were not captured (traces
-    /// without flips: the stream is never consumed post-plan).
+    /// was sampled: the state the executor's flip re-draw continues from.
+    /// `None` when states were not captured (traces without flips: the
+    /// stream is never consumed post-plan).
     pub fn resume_stream(&self, task_id: u64) -> Option<Xoshiro256StarStar> {
         self.rng_states
             .as_ref()

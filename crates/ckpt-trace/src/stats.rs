@@ -13,13 +13,14 @@
 //!   service tasks record huge ones. MTBF estimated over short tasks is
 //!   modest; over all tasks it is tail-dominated (Table 7's 179 s vs 4199 s
 //!   for priority 2) — the bias that breaks Young's formula.
-//! * **Common random numbers** — the history uses the same per-task RNG
-//!   stream ([`Trace::failure_stream`]) as the simulator, so "precise
-//!   prediction" oracles (Table 6) are exact and paired policy comparisons
-//!   (Figure 13) replay identical kill events, like the paper's `kill -9`
-//!   trace replay.
+//! * **Common random numbers** — the histories read the plans of a
+//!   [`FailurePlanArena`], the same plans the simulators replay, so
+//!   "precise prediction" oracles (Table 6) are exact and paired policy
+//!   comparisons (Figure 13) replay identical kill events, like the
+//!   paper's `kill -9` trace replay.
 
-use crate::gen::{JobSpec, TaskSpec, Trace};
+use crate::gen::Trace;
+use crate::plan::FailurePlanArena;
 use ckpt_policy::estimator::{GroupedEstimator, TaskHistory};
 use std::collections::{HashMap, HashSet};
 
@@ -35,49 +36,18 @@ pub struct TaskRecord {
     pub history: TaskHistory,
 }
 
-/// Compute the failure history of one task: its pre-planned kill events,
-/// drawn from the task's dedicated stream (identical to what the simulator
-/// replays), under the trace's failure model — so the estimators always
-/// see data from the same interval law the simulators replay, whatever
-/// that law is.
-pub fn history_for_task(trace: &Trace, job: &JobSpec, task: &TaskSpec) -> TaskHistory {
-    let mut rng = trace.failure_stream(task.id);
-    let plan = crate::failure::sample_task_plan(
-        trace.failure_model,
-        job.priority,
-        task.length_s,
-        &mut rng,
-    );
-    TaskHistory {
-        priority: job.priority,
-        task_length: task.length_s,
-        failure_count: plan.count(),
-        intervals: plan.intervals(),
-    }
-}
-
-/// Histories for every task in the trace.
+/// Histories for every task in the trace, from one [`FailurePlanArena`]
+/// sampled here (see [`trace_histories_from_plans`]).
 pub fn trace_histories(trace: &Trace) -> Vec<TaskRecord> {
-    trace
-        .tasks()
-        .map(|(job, task)| TaskRecord {
-            task_id: task.id,
-            job_id: job.id,
-            history: history_for_task(trace, job, task),
-        })
-        .collect()
+    trace_histories_from_plans(trace, &FailurePlanArena::build(trace))
 }
 
-/// [`trace_histories`] derived from an already-sampled
-/// [`crate::plan::FailurePlanArena`] instead of re-drawing every plan:
-/// the arena holds the exact plans [`history_for_task`] would sample (same
-/// streams, same model), so the derived histories are identical — this is
-/// how the sweep executor shares one sampling pass between the estimator
-/// prep and every replay cell.
-pub fn trace_histories_from_plans(
-    trace: &Trace,
-    plans: &crate::plan::FailurePlanArena,
-) -> Vec<TaskRecord> {
+/// Histories for every task in the trace, read from `plans`: a task's
+/// recorded failure count is its plan's kill count, and its recorded
+/// intervals are the gaps between kills. Experiments and the sweep
+/// executor pass the arena their replays borrow, so one sampling pass
+/// serves the estimator input and every replay.
+pub fn trace_histories_from_plans(trace: &Trace, plans: &FailurePlanArena) -> Vec<TaskRecord> {
     trace
         .tasks()
         .map(|(job, task)| {

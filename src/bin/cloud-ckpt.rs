@@ -27,11 +27,12 @@ use cloud_ckpt::scenario::{
 };
 use cloud_ckpt::sim::metrics::{mean_wpr, with_structure, wpr_ecdf};
 use cloud_ckpt::sim::policy::{Estimates, EstimatorKind, PolicyConfig};
-use cloud_ckpt::sim::runner::{run_trace, RunOptions};
+use cloud_ckpt::sim::runner::{run_trace_with_plans, RunOptions};
 use cloud_ckpt::trace::export;
 use cloud_ckpt::trace::gen::{generate, JobStructure, Trace};
+use cloud_ckpt::trace::plan::FailurePlanArena;
 use cloud_ckpt::trace::spec::WorkloadSpec;
-use cloud_ckpt::trace::stats::{failure_prone_jobs, trace_histories};
+use cloud_ckpt::trace::stats::{failure_prone_jobs, trace_histories_from_plans};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -342,13 +343,16 @@ fn cmd_replay(flags: HashMap<String, String>) -> Result<(), CliError> {
         .with_adaptivity(flags.contains_key("adaptive"));
     let threads: usize = opt(&flags, "threads", 0)?;
 
-    let records = trace_histories(&trace);
+    // One sampling pass: the histories and the replay read one arena.
+    let plans = FailurePlanArena::build(&trace);
+    let records = trace_histories_from_plans(&trace, &plans);
     let estimates = Estimates::from_records(&records);
     let sample = failure_prone_jobs(&records, 0.5);
-    let recs: Vec<_> = run_trace(&trace, &estimates, &cfg, RunOptions { threads })
-        .into_iter()
-        .filter(|r| sample.contains(&r.job_id))
-        .collect();
+    let recs: Vec<_> =
+        run_trace_with_plans(&trace, &estimates, &cfg, RunOptions { threads }, &plans)
+            .into_iter()
+            .filter(|r| sample.contains(&r.job_id))
+            .collect();
     let Some(e) = wpr_ecdf(&recs) else {
         return Err(CliError::Failed(
             "no failure-prone sample jobs in this trace".into(),

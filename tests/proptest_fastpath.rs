@@ -1,7 +1,8 @@
-//! Property-based tests of the fast-path rewrite: cached-plan (arena)
-//! replays must be byte-identical to fresh-sampling replays across every
-//! failure model and flip traces, and the chunked `parallel_indexed`
-//! substrate must match the sequential path on adversarial sizes.
+//! Property-based tests of the fast path: a replay from a shared plan
+//! arena must be byte-identical to `run_trace`, which samples an arena of
+//! its own, across every failure model, flip traces and thread counts, and
+//! the chunked `parallel_indexed` substrate must match the sequential path
+//! on adversarial sizes.
 
 use cloud_ckpt::sim::policy::{Estimates, PolicyConfig};
 use cloud_ckpt::sim::runner::{
@@ -46,10 +47,10 @@ fn policy(idx: usize) -> PolicyConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cached-plan replay == fresh-sampling replay, byte for byte, for
-    /// every failure model × flip/no-flip trace × policy × thread count.
-    /// (This is the contract that makes the sweep executor's cross-cell
-    /// plan arena an optimization rather than an approximation.)
+    /// Shared-arena replay == `run_trace` on one thread, byte for byte,
+    /// for every failure model × flip/no-flip trace × policy × thread
+    /// count. (This is the contract that lets the sweep executor and the
+    /// experiments share one arena across every cell.)
     #[test]
     fn arena_replay_is_byte_identical_to_fresh_sampling(
         seed in 0u64..1_000,
@@ -68,11 +69,11 @@ proptest! {
         let records = trace_histories(&trace);
         let est = Estimates::from_records(&records);
         let cfg = policy(policy_idx);
-        let fresh = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
+        let own = run_trace(&trace, &est, &cfg, RunOptions { threads: 1 });
         let arena = FailurePlanArena::build(&trace);
         prop_assert_eq!(arena.captures_streams(), flips);
-        let cached = run_trace_with_plans(&trace, &est, &cfg, RunOptions { threads }, &arena);
-        prop_assert_eq!(fresh, cached);
+        let shared = run_trace_with_plans(&trace, &est, &cfg, RunOptions { threads }, &arena);
+        prop_assert_eq!(own, shared);
     }
 
     /// Chunked claiming with direct in-place writes returns exactly the
