@@ -10,10 +10,9 @@
 //! * [`Xoshiro256StarStar`] — Blackman/Vigna's general-purpose generator with
 //!   256 bits of state, used for the bulk of the sampling.
 //!
-//! Both implement [`rand::RngCore`] for interop with the `rand` ecosystem,
-//! but all distribution sampling in this workspace goes through our own
-//! inverse-transform code (see [`crate::dist`]) so that the generated values
-//! are stable across `rand` versions.
+//! All distribution sampling in this workspace goes through our own
+//! inverse-transform code (see [`crate::dist`]), with no external RNG crate,
+//! so the generated values depend on nothing outside this repository.
 
 /// A minimal deterministic RNG interface: everything the workspace samples
 /// ultimately reduces to uniform `u64`s and uniform `f64`s in `[0, 1)`.
@@ -190,52 +189,6 @@ impl Rng64 for Xoshiro256StarStar {
     }
 }
 
-// --- rand interop -----------------------------------------------------------
-
-impl rand::RngCore for SplitMix64 {
-    fn next_u32(&mut self) -> u32 {
-        (Rng64::next_u64(self) >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        Rng64::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl rand::RngCore for Xoshiro256StarStar {
-    fn next_u32(&mut self) -> u32 {
-        (Rng64::next_u64(self) >> 32) as u32
-    }
-    fn next_u64(&mut self) -> u64 {
-        Rng64::next_u64(self)
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        fill_bytes_via_u64(self, dest);
-    }
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> std::result::Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-fn fill_bytes_via_u64<R: Rng64>(rng: &mut R, dest: &mut [u8]) {
-    let mut chunks = dest.chunks_exact_mut(8);
-    for chunk in &mut chunks {
-        chunk.copy_from_slice(&rng.next_u64().to_le_bytes());
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let bytes = rng.next_u64().to_le_bytes();
-        rem.copy_from_slice(&bytes[..rem.len()]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,16 +296,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_state_rejected() {
         let _ = Xoshiro256StarStar::from_state([0; 4]);
-    }
-
-    #[test]
-    fn rand_rngcore_interop() {
-        use rand::RngCore;
-        let mut rng = Xoshiro256StarStar::new(1);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert_ne!(buf, [0u8; 13]);
-        let _ = rng.next_u32();
     }
 
     #[test]
